@@ -40,11 +40,9 @@ from .solver import (
     step,
 )
 from .topology import (
-    ChiEstimate,
     MixingSchedule,
     TopologySchedule,
     build_mixing,
-    estimate_chi,
     gossip_matrix,
     make_schedule,
     random_geometric_schedule,

@@ -19,10 +19,6 @@ __all__ = [
     "project_consensus",
     "consensus_gap",
     "multi_mix",
-    "to_json_dict",
-    "from_json_dict",
-    "to_bytes",
-    "from_bytes",
 ]
 
 
@@ -82,30 +78,3 @@ def multi_mix(mixing, k, T, v):
     for q in range(k * T, (k + 1) * T):
         r = r - mix(mixing.w(q), r)
     return v - r
-
-
-def to_json_dict(v):
-    """JSON-ready form: {n, d, blocks}."""
-    v = as_blocks(v)
-    return {"n": v.shape[0], "d": v.shape[1], "blocks": v.tolist()}
-
-
-def from_json_dict(obj):
-    v = np.array(obj["blocks"], dtype=float)
-    if v.shape != (obj["n"], obj["d"]):
-        raise ValueError(
-            f"blocks shape {v.shape} disagrees with header ({obj['n']}, {obj['d']})"
-        )
-    return v
-
-
-def to_bytes(v):
-    """Little-endian float64 bytes, node-major."""
-    return as_blocks(v).astype("<f8").tobytes(order="C")
-
-
-def from_bytes(buf, n, d):
-    v = np.frombuffer(buf, dtype="<f8")
-    if v.size != n * d:
-        raise ValueError(f"buffer holds {v.size} values, expected {n * d}")
-    return v.reshape(n, d).astype(float)

@@ -30,9 +30,8 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     config = experiments.ExperimentConfig.from_json_file(args.config)
-    values = [float(v) for v in args.values.split(",") if v]
-    if args.axis == "T":
-        values = [int(v) for v in values]
+    parse = int if args.axis == "T" else float
+    values = [parse(v) for v in args.values.split(",") if v]
     rows = experiments.sweep(config, args.axis, values, output_dir=args.output_dir)
     print("value,status,iterations_to_eps,comm_rounds_to_eps,grad_calls_to_eps")
     for row in rows:
@@ -51,15 +50,10 @@ def _cmd_sweep(args):
 
 def _cmd_validate_gossip(args):
     config = experiments.ExperimentConfig.from_json_file(args.config)
-    if config.topology is not None:
-        opts = dict(config.topology)
-        schedule = topology.make_schedule(opts.pop("kind"), opts.pop("n"), **opts)
-    else:
+    instance = None
+    if config.topology is None:
         _, instance = experiments.build_problem(config.problem)
-        if instance is None:
-            print("error: config has no topology section", file=sys.stderr)
-            return 1
-        schedule = instance.schedule
+    schedule = experiments._build_schedule(config, instance)
     mixing = topology.build_mixing(schedule)
     print(f"schedule kind={schedule.kind} n={schedule.n} cycle={schedule.cycle}")
     print(f"measured chi = {mixing.chi!r}")

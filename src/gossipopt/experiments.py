@@ -13,10 +13,9 @@ record stream.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import hardcase, solver, topology
@@ -37,6 +36,14 @@ CSV_HEADER = "k,comm_rounds,grad_calls,err_sq_stacked,err_sq_mean_block,psi_x,ps
 OUTPUT_DIR_ENV = "GOSSIPOPT_OUTPUT_DIR"
 
 _RECORD_FIELDS = CSV_HEADER.split(",")
+
+# Keys accepted in a config document, per section (None is the top level).
+_CONFIG_KEYS = {
+    None: {"problem", "topology", "chi", "algorithm", "stop", "output", "certify"},
+    "algorithm": {"T", "param_overrides"},
+    "stop": {"budget", "target_eps", "metric"},
+    "output": {"path", "format", "record_lyapunov"},
+}
 
 
 @dataclass
@@ -59,16 +66,25 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.budget is None and self.target_eps is None:
             raise ValueError("config needs a budget, a target_eps, or both")
-        if self.T != "auto" and (not isinstance(self.T, int) or self.T < 1):
+        if self.T != "auto" and (
+            isinstance(self.T, bool) or not isinstance(self.T, int) or self.T < 1
+        ):
             raise ValueError(f"T must be a positive integer or 'auto', got {self.T}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
     @classmethod
     def from_dict(cls, obj):
+        """Build a config from its JSON layout; unknown keys are errors."""
         algorithm = obj.get("algorithm", {})
         stop = obj.get("stop", {})
         output = obj.get("output", {})
+        for section, known in _CONFIG_KEYS.items():
+            keys = obj if section is None else obj.get(section, {})
+            unknown = sorted(set(keys) - known)
+            if unknown:
+                where = "at the top level" if section is None else f"in {section!r}"
+                raise ValueError(f"unknown config key {where}: {', '.join(unknown)}")
         return cls(
             problem=obj["problem"],
             topology=obj.get("topology"),
@@ -197,9 +213,7 @@ def run_experiment(config, output_dir=None):
             )
         chi_used = float(config.chi)
 
-    T = config.T
-    if T == "auto":
-        T = max(1, math.ceil(chi_used * math.log(2.0)))
+    T = solver.consensus_rounds(chi_used) if config.T == "auto" else config.T
     chi_eff = solver.effective_chi(chi_used, T)
     params = solver.derive_params(objectives.L, objectives.mu, chi_eff)
     if config.param_overrides:
@@ -282,7 +296,7 @@ def _config_with(config, axis, value):
             raise ValueError("chi sweeps need a hard_instance problem")
         problem["chi"] = value
     elif axis == "T":
-        T = int(value)
+        T = value
     else:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
 
@@ -290,20 +304,7 @@ def _config_with(config, axis, value):
     if output_path is not None:
         p = Path(output_path)
         output_path = str(p.with_name(f"{p.stem}_{axis}{value}{p.suffix}"))
-    return ExperimentConfig(
-        problem=problem,
-        topology=config.topology,
-        chi=config.chi,
-        T=T,
-        param_overrides=dict(config.param_overrides),
-        budget=config.budget,
-        target_eps=config.target_eps,
-        stop_metric=config.stop_metric,
-        record_lyapunov=config.record_lyapunov,
-        certify=config.certify,
-        output_path=output_path,
-        output_format=config.output_format,
-    )
+    return replace(config, problem=problem, T=T, output_path=output_path)
 
 
 def sweep(base_config, axis, values, output_dir=None):

@@ -20,7 +20,6 @@ node can have touched; the certifier checks any traced run against it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,6 @@ __all__ = [
     "hard_rho",
     "hard_solution",
     "build_hard_instance",
-    "center_one_based",
     "span_ceiling",
     "certify_run",
     "lower_bound_curve",
@@ -57,11 +55,6 @@ def hard_solution(L, mu, d_trunc):
     return rho ** np.arange(1, d_trunc + 1)
 
 
-def center_one_based(n, q):
-    """Star center of round q in the one-based labeling n/3 + 1 + (q mod n/3)."""
-    return star_cycle_center(n, q) + 1
-
-
 @dataclass(frozen=True)
 class HardInstance:
     """Adversarial problem plus its star-cycle topology."""
@@ -78,10 +71,6 @@ class HardInstance:
     @property
     def group_size(self):
         return self.n // 3
-
-    def group_of(self, i):
-        """1, 2 or 3 for zero-based node i."""
-        return i // self.group_size + 1
 
     def solution(self):
         return hard_solution(self.L, self.mu, self.d_trunc)
@@ -237,23 +226,6 @@ class CertReport:
     @property
     def passed(self):
         return self.first_violation is None
-
-    def to_json(self, curve=None):
-        obj = {
-            "passed": self.passed,
-            "support_ok": list(self.support_ok),
-            "distance_ok": list(self.distance_ok),
-            "first_violation": self.first_violation,
-            "q_total": self.q_total,
-        }
-        if curve is not None:
-            exact, relaxed = curve
-            obj["lower_bound_curve"] = {
-                "q": list(range(len(exact))),
-                "exact": [float(v) for v in exact],
-                "relaxed": [float(v) for v in relaxed],
-            }
-        return json.dumps(obj)
 
 
 def _support_length(block, zero_tol):

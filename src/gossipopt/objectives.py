@@ -2,19 +2,15 @@
 
 Each of the n nodes owns one smooth, strongly convex function on R^d. Two
 families are provided: l2-regularized logistic losses over per-node data,
-and quadratics with per-node curvature matrices. Both expose full primal
-gradients blockwise and stacked; quadratics additionally expose the
-conjugate (dual) gradient in closed form. A centralized accelerated solver
-produces high-accuracy minimizers of the averaged objective for use as test
+and quadratics with per-node curvature matrices. Both expose full
+gradients blockwise and stacked. A centralized accelerated solver produces
+high-accuracy minimizers of the averaged objective for use as test
 references.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 __all__ = [
@@ -23,7 +19,6 @@ __all__ = [
     "gen_synthetic_logistic",
     "gen_random_quadratic",
     "reference_minimizer",
-    "constants_csv",
 ]
 
 
@@ -70,7 +65,6 @@ class QuadraticObjectives:
         self.mu = float(mu)
         self._mean_quad = quad.mean(axis=0)
         self._mean_lin = lin.mean(axis=0)
-        self._cho = None
 
     def value_block(self, i, x):
         return float(0.5 * x @ (self.quad[i] @ x) + self.lin[i] @ x + self.offsets[i])
@@ -90,12 +84,6 @@ class QuadraticObjectives:
     def mean_grad(self, x):
         """Gradient of (1/n) sum_i f_i at a single point x in R^d."""
         return self._mean_quad @ x + self._mean_lin
-
-    def dual_grad_block(self, i, y):
-        """Gradient of the conjugate of f_i: the x solving Q_i x + c_i = y."""
-        if self._cho is None:
-            self._cho = [cho_factor(self.quad[j]) for j in range(self.n)]
-        return cho_solve(self._cho[i], y - self.lin[i])
 
 
 class LogisticObjectives:
@@ -165,28 +153,6 @@ class LogisticObjectives:
         )
         return data_grad + self.reg * x
 
-    def dual_grad_block(self, i, y):
-        raise NotImplementedError(
-            "logistic losses have no closed-form conjugate gradient"
-        )
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "features": self.features.tolist(),
-                "labels": self.labels.tolist(),
-                "reg": self.reg,
-                "L": self.L,
-                "mu": self.mu,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(obj["features"], obj["labels"], obj["reg"], L=obj["L"])
-
 
 def gen_synthetic_logistic(n, m, d, seed, kappa):
     """Synthetic classification data with a prescribed condition number.
@@ -227,15 +193,6 @@ def gen_random_quadratic(n, d, L, mu, seed):
         quad[i] = 0.5 * (quad[i] + quad[i].T)
     lin = rng.standard_normal((n, d))
     return QuadraticObjectives(quad, lin, L=L, mu=mu)
-
-
-def constants_csv(objectives):
-    """One-line CSV summary of the conditioning constants."""
-    kappa = objectives.L / objectives.mu
-    return (
-        "L,mu,kappa\n"
-        f"{objectives.L!r},{objectives.mu!r},{kappa!r}\n"
-    )
 
 
 def reference_minimizer(objectives, tol=1e-10, max_iter=10_000_000):

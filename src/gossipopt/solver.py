@@ -20,9 +20,8 @@ communication rounds per iteration.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,14 +38,13 @@ __all__ = [
     "DivergenceError",
     "derive_params",
     "effective_chi",
+    "consensus_rounds",
     "init_state",
     "make_reference",
     "saddle_state",
     "step",
     "lyapunov",
     "run",
-    "save_checkpoint",
-    "load_checkpoint",
 ]
 
 DIVERGENCE_LIMIT = 1e100
@@ -450,7 +448,6 @@ def run(
     stop_metric="mean_block",
     track_lyapunov=True,
     collect_trace=False,
-    ref_tol=1e-12,
 ):
     """Run the solver until an error target or an iteration budget.
 
@@ -494,7 +491,7 @@ def run(
             objectives.L, objectives.mu, effective_chi(mixing.chi, T)
         )
     if reference is None:
-        reference = make_reference(objectives, params.nu, tol=ref_tol)
+        reference = make_reference(objectives, params.nu)
 
     state = init_state(objectives.n, objectives.d)
     records = []
@@ -520,40 +517,3 @@ def run(
     return RunResult(
         records=records, state=state, params=params, reference=reference, trace=trace
     )
-
-
-_STATE_FIELDS = ("x", "y", "z", "m", "x_f", "y_f", "z_f")
-
-
-def save_checkpoint(base_path, state, params, chi_eff):
-    """Write a state checkpoint: JSON header plus raw block-vector bytes."""
-    n, d = state.x.shape
-    header = {
-        "k": state.k,
-        "n": n,
-        "d": d,
-        "chi_eff": chi_eff,
-        "params": asdict(params),
-        "fields": list(_STATE_FIELDS),
-    }
-    with open(f"{base_path}.json", "w") as fh:
-        json.dump(header, fh)
-    with open(f"{base_path}.bin", "wb") as fh:
-        for name in _STATE_FIELDS:
-            fh.write(blockvec.to_bytes(getattr(state, name)))
-
-
-def load_checkpoint(base_path):
-    """Read back a checkpoint written by :func:`save_checkpoint`."""
-    with open(f"{base_path}.json") as fh:
-        header = json.load(fh)
-    n, d = header["n"], header["d"]
-    span = n * d * 8
-    with open(f"{base_path}.bin", "rb") as fh:
-        buf = fh.read()
-    fields = {}
-    for pos, name in enumerate(header["fields"]):
-        fields[name] = blockvec.from_bytes(buf[pos * span : (pos + 1) * span], n, d)
-    state = State(k=header["k"], **fields)
-    params = Params(**header["params"])
-    return state, params, header["chi_eff"]

@@ -19,7 +19,6 @@ fast repeated gossip rounds contract disagreement between nodes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,6 @@ import numpy as np
 __all__ = [
     "TopologySchedule",
     "MixingSchedule",
-    "ChiEstimate",
     "ValidationReport",
     "ring_edges",
     "star_edges",
@@ -42,10 +40,7 @@ __all__ = [
     "laplacian",
     "gossip_matrix",
     "validate_gossip",
-    "estimate_chi",
     "build_mixing",
-    "edges_to_json",
-    "edges_from_json",
     "save_gossip_csv",
 ]
 
@@ -269,13 +264,8 @@ def _spectral_ratio(evals):
     return max(float(lam_max / positive[0]), 1.0)
 
 
-def gossip_matrix(edges, n):
-    """Gossip matrix of a connected graph: Laplacian over its top eigenvalue.
-
-    The result is symmetric positive semi-definite with eigenvalues in
-    [0, 1], kernel spanned by the all-ones vector, and zero-sum rows and
-    columns, so it satisfies all four gossip axioms with chi equal to the
-    Laplacian condition number lambda_max / lambda_min_plus.
+def _spectrum(edges, n):
+    """Laplacian of a connected graph and its ascending eigenvalues.
 
     Raises
     ------
@@ -286,37 +276,19 @@ def gossip_matrix(edges, n):
     if not _is_connected(edges, n):
         raise ValueError("gossip matrix requires a connected graph")
     lap = laplacian(edges, n)
-    lam_max = float(np.linalg.eigvalsh(lap)[-1])
-    return lap / lam_max
+    return lap, np.linalg.eigvalsh(lap)
 
 
-@dataclass(frozen=True)
-class ChiEstimate:
-    """Measured network condition number over a sampled horizon."""
+def gossip_matrix(edges, n):
+    """Gossip matrix of a connected graph: Laplacian over its top eigenvalue.
 
-    chi: float
-    per_round: tuple
-
-    def __post_init__(self):
-        assert self.chi >= 1.0
-
-
-def estimate_chi(schedule, horizon=None):
-    """Largest per-round Laplacian condition number over the horizon.
-
-    For a cyclic schedule the default horizon of one cycle already yields
-    the exact supremum over all rounds.
+    The result is symmetric positive semi-definite with eigenvalues in
+    [0, 1], kernel spanned by the all-ones vector, and zero-sum rows and
+    columns, so it satisfies all four gossip axioms with chi equal to the
+    Laplacian condition number lambda_max / lambda_min_plus.
     """
-    if horizon is None:
-        horizon = schedule.cycle
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    ratios = {}
-    for q in range(min(horizon, schedule.cycle)):
-        evals = np.linalg.eigvalsh(laplacian(schedule.edges(q), schedule.n))
-        ratios[q] = _spectral_ratio(evals)
-    per_round = tuple(ratios[q % schedule.cycle] for q in range(horizon))
-    return ChiEstimate(chi=max(per_round), per_round=per_round)
+    lap, evals = _spectrum(edges, n)
+    return lap / float(evals[-1])
 
 
 @dataclass(frozen=True)
@@ -435,19 +407,20 @@ class MixingSchedule:
 
 
 def build_mixing(schedule):
-    """Precompute gossip matrices and the chi estimate for a schedule."""
-    mats = [gossip_matrix(schedule.edges(q), schedule.n) for q in range(schedule.cycle)]
-    est = estimate_chi(schedule)
-    return MixingSchedule(schedule, mats, est.chi, est.per_round)
+    """Precompute gossip matrices and chi for a schedule.
 
-
-def edges_to_json(edges):
-    """Serialize an edge set as a JSON array of [i, j] pairs."""
-    return json.dumps([[int(i), int(j)] for i, j in edges])
-
-
-def edges_from_json(text):
-    return _canonical((int(i), int(j)) for i, j in json.loads(text))
+    Each position of the cycle is eigendecomposed once; its spectrum gives
+    both the gossip matrix and the position's Laplacian condition number.
+    For a cyclic schedule one cycle already yields the exact supremum over
+    all rounds.
+    """
+    mats = []
+    per_round = []
+    for q in range(schedule.cycle):
+        lap, evals = _spectrum(schedule.edges(q), schedule.n)
+        mats.append(lap / float(evals[-1]))
+        per_round.append(_spectral_ratio(evals))
+    return MixingSchedule(schedule, mats, max(per_round), tuple(per_round))
 
 
 def save_gossip_csv(w, path):

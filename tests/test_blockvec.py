@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -140,20 +139,3 @@ def test_multi_mix_rejects_bad_T():
     mixing = topology.build_mixing(topology.ring_star_schedule(4))
     with pytest.raises(ValueError):
         blockvec.multi_mix(mixing, 0, 0, np.zeros((4, 1)))
-
-
-def test_json_roundtrip_is_exact():
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal((4, 3))
-    obj = json.loads(json.dumps(blockvec.to_json_dict(v)))
-    back = blockvec.from_json_dict(obj)
-    assert np.array_equal(back, v)
-
-
-def test_bytes_roundtrip_is_exact():
-    rng = np.random.default_rng(8)
-    v = rng.standard_normal((5, 2))
-    back = blockvec.from_bytes(blockvec.to_bytes(v), 5, 2)
-    assert np.array_equal(back, v)
-    with pytest.raises(ValueError):
-        blockvec.from_bytes(blockvec.to_bytes(v), 5, 3)

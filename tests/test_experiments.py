@@ -116,6 +116,8 @@ def test_config_validation():
         ExperimentConfig(problem={"kind": "random_quadratic"})
     with pytest.raises(ValueError, match="T must be"):
         _quadratic_config(T=0)
+    with pytest.raises(ValueError, match="T must be"):
+        _quadratic_config(T=True)
     with pytest.raises(ValueError, match="output format"):
         _quadratic_config(output_format="yaml")
     with pytest.raises(ValueError, match="unknown problem kind"):
@@ -150,6 +152,22 @@ def test_config_from_dict_nested_layout():
     assert cfg.certify is True
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [(None, "stopp"), ("algorithm", "typo_key"), ("stop", "budgett"), ("output", "fmt")],
+)
+def test_config_from_dict_rejects_unknown_keys(section, key):
+    obj = {
+        "problem": {"kind": "hard_instance", "chi": 9.0, "L": 16.0, "mu": 1.0,
+                    "d_trunc": 40},
+        "algorithm": {"T": 1},
+        "stop": {"budget": 10},
+    }
+    (obj if section is None else obj.setdefault(section, {}))[key] = 5
+    with pytest.raises(ValueError, match=f"unknown config key.*{key}"):
+        ExperimentConfig.from_dict(obj)
+
+
 def test_sweep_singleton_matches_run():
     cfg = _hard_config(budget=None, target_eps=1e-4, stop_metric="stacked")
     rows = experiments.sweep(cfg, "chi", [9.0])
@@ -178,6 +196,10 @@ def test_sweep_T_axis():
     cfg = _hard_config(budget=5)
     rows = experiments.sweep(cfg, "T", [1, 3])
     assert all(r["status"] == "ok" for r in rows)
+    with pytest.raises(ValueError, match="T must be"):
+        experiments._config_with(cfg, "T", 1.5)
+    rows = experiments.sweep(cfg, "T", [1.5, 2])
+    assert [r["status"] for r in rows] == ["error", "ok"]
 
 
 def test_budget_only_run_marks_unconverged():
@@ -246,6 +268,32 @@ def test_cli_validate_gossip(tmp_path, capsys):
     assert "contraction=True" in out
 
 
+def test_cli_validate_gossip_without_topology_section(tmp_path, capsys):
+    hard = _write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "hard_instance", "chi": 9.0, "L": 16.0, "mu": 1.0,
+                        "d_trunc": 40},
+            "stop": {"budget": 1},
+        },
+        name="hard.json",
+    )
+    assert cli.main(["validate-gossip", hard]) == 0
+    assert "kind=star_cycle n=9 cycle=3" in capsys.readouterr().out
+
+    plain = _write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "random_quadratic", "n": 5, "d": 2, "L": 4.0,
+                        "mu": 1.0, "seed": 0},
+            "stop": {"budget": 1},
+        },
+        name="plain.json",
+    )
+    assert cli.main(["validate-gossip", plain]) == 1
+    assert "topology section" in capsys.readouterr().err
+
+
 def test_cli_lowerbound_certify(tmp_path, capsys):
     config = _write_config(
         tmp_path,
@@ -278,3 +326,5 @@ def test_cli_sweep(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0].startswith("value,status")
     assert len(out) == 3
+    assert cli.main(["sweep", config, "--axis", "T", "--values", "1.5,2.9"]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -20,8 +19,6 @@ def test_build_partitions_and_centers():
     inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 20)
     assert inst.n == 9
     assert inst.group_size == 3
-    assert [inst.group_of(i) for i in range(9)] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
-    assert [hardcase.center_one_based(9, q) for q in range(4)] == [4, 5, 6, 4]
     # chi = 10 still gives n = 9: the construction rounds down to thirds
     assert hardcase.build_hard_instance(10.0, 16.0, 1.0, 20).n == 9
 
@@ -37,9 +34,9 @@ def test_build_validation():
 
 def test_star_rounds_stay_within_chi():
     inst = hardcase.build_hard_instance(10.0, 16.0, 1.0, 20)
-    est = topology.estimate_chi(inst.schedule)
-    assert est.chi <= inst.chi + 1e-9
-    assert abs(est.chi - inst.n) < 1e-9
+    chi = topology.build_mixing(inst.schedule).chi
+    assert chi <= inst.chi + 1e-9
+    assert abs(chi - inst.n) < 1e-9
 
 
 def test_middle_group_gradient_is_pure_regularizer():
@@ -159,15 +156,6 @@ def test_certify_rejects_forged_trace():
     assert not report.passed
     assert report.first_violation["check"] == "support"
     assert report.first_violation["k"] == 0
-
-
-def test_cert_report_json():
-    inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
-    report = hardcase.certify_run(inst, [np.zeros((9, 30))])
-    curve = hardcase.lower_bound_curve(9.0, 16.0, 1.0, 10)
-    obj = json.loads(report.to_json(curve=curve))
-    assert obj["passed"] is True
-    assert len(obj["lower_bound_curve"]["exact"]) == 11
 
 
 def test_lower_bound_curve_shapes():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gossipopt import hardcase, objectives
+from gossipopt import objectives
 
 
 def _central_diff(f, x, h=1e-6):
@@ -92,41 +92,6 @@ def test_two_sided_smoothness_bound(logistic, quadratic):
             assert gap <= 0.5 * obj.L * dist + 1e-9 * (1 + dist)
 
 
-def test_dual_gradient_inverts_primal():
-    obj = objectives.QuadraticObjectives(
-        np.array([[[2.0, 0.0], [0.0, 2.0]]]), np.zeros((1, 2))
-    )
-    assert np.allclose(obj.dual_grad_block(0, np.array([2.0, 2.0])), [1.0, 1.0])
-
-    rng = np.random.default_rng(6)
-    quad = objectives.gen_random_quadratic(3, 4, L=5.0, mu=0.5, seed=7)
-    for _ in range(10):
-        i = int(rng.integers(quad.n))
-        x = rng.standard_normal(quad.d)
-        y = rng.standard_normal(quad.d)
-        assert np.allclose(
-            quad.grad_block(i, quad.dual_grad_block(i, y)), y, atol=1e-8
-        )
-        assert np.allclose(
-            quad.dual_grad_block(i, quad.grad_block(i, x)), x, atol=1e-8
-        )
-
-
-def test_dual_gradient_matches_dense_solve_on_chain_quadratic():
-    instance = hardcase.build_hard_instance(9.0, 20.0, 1.0, 40)
-    obj = instance.objectives
-    rng = np.random.default_rng(8)
-    for i in (0, 4, 8):
-        y = rng.standard_normal(obj.d)
-        direct = np.linalg.solve(obj.quad[i], y - obj.lin[i])
-        assert np.abs(obj.dual_grad_block(i, y) - direct).max() <= 1e-10
-
-
-def test_dual_gradient_unsupported_for_logistic(logistic):
-    with pytest.raises(NotImplementedError):
-        logistic.dual_grad_block(0, np.zeros(logistic.d))
-
-
 def test_synthetic_logistic_condition_number_exact():
     obj = objectives.gen_synthetic_logistic(4, 10, 6, seed=3, kappa=10.0)
     assert abs(obj.L / obj.mu - 10.0) <= 1e-9
@@ -148,21 +113,6 @@ def test_stored_L_bounds_empirical_lipschitz(logistic):
         y = rng.standard_normal(logistic.d)
         num = np.linalg.norm(logistic.grad_block(i, x) - logistic.grad_block(i, y))
         assert num <= logistic.L * np.linalg.norm(x - y) * (1 + 1e-9)
-
-
-def test_logistic_json_roundtrip(logistic):
-    back = objectives.LogisticObjectives.from_json(logistic.to_json())
-    assert np.array_equal(back.features, logistic.features)
-    assert np.array_equal(back.labels, logistic.labels)
-    assert back.L == logistic.L and back.mu == logistic.mu
-
-
-def test_constants_csv_roundtrip(logistic):
-    lines = objectives.constants_csv(logistic).strip().splitlines()
-    assert lines[0] == "L,mu,kappa"
-    L, mu, kappa = (float(v) for v in lines[1].split(","))
-    assert L == logistic.L and mu == logistic.mu
-    assert kappa == logistic.L / logistic.mu
 
 
 def test_reference_minimizer_mean_closed_form():

@@ -307,15 +307,3 @@ def test_init_state_validation():
         solver.init_state(3, 2, z0=np.ones((3, 2)))
     with pytest.raises(ValueError, match="expected shape"):
         solver.init_state(3, 2, x0=np.ones((2, 2)))
-
-
-def test_checkpoint_roundtrip(tmp_path, small_run):
-    obj, _, params, _, result = small_run
-    base = str(tmp_path / "ckpt")
-    solver.save_checkpoint(base, result.state, params, chi_eff=params.chi)
-    state, loaded_params, chi_eff = solver.load_checkpoint(base)
-    assert state.k == result.state.k
-    assert loaded_params == params
-    assert chi_eff == params.chi
-    for name in ("x", "y", "z", "m", "x_f", "y_f", "z_f"):
-        assert np.array_equal(getattr(state, name), getattr(result.state, name))

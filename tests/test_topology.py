@@ -1,7 +1,7 @@
-import json
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipopt import topology
 
@@ -98,8 +98,8 @@ def test_star3_spectrum_frozen():
     lap = topology.laplacian(topology.star_edges(3, 0), 3)
     evals = np.linalg.eigvalsh(lap)
     assert np.allclose(evals, [0.0, 1.0, 3.0], atol=1e-12)
-    est = topology.estimate_chi(topology.star_cycle_schedule(3))
-    assert abs(est.chi - 3.0) < 1e-9
+    chi = topology.build_mixing(topology.star_cycle_schedule(3)).chi
+    assert abs(chi - 3.0) < 1e-9
 
 
 def test_gossip_annihilates_consensus():
@@ -126,21 +126,17 @@ def test_estimate_chi_complete_graph_is_one():
     for n in (3, 4, 6):
         edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
         sched = topology.schedule_from_pool([edges], n, kind="complete")
-        est = topology.estimate_chi(sched)
-        assert abs(est.chi - 1.0) <= 1e-12
+        assert abs(topology.build_mixing(sched).chi - 1.0) <= 1e-12
 
 
 def test_estimate_chi_takes_max_over_rounds():
     k3 = ((0, 1), (0, 2), (1, 2))
     star3 = topology.star_edges(3, 0)
     sched = topology.schedule_from_pool([k3, star3], 3, kind="alt")
-    est = topology.estimate_chi(sched)
-    assert abs(est.chi - 3.0) < 1e-9
-    assert abs(est.per_round[0] - 1.0) <= 1e-12
-    # horizon beyond the cycle repeats the same ratios
-    longer = topology.estimate_chi(sched, horizon=5)
-    assert longer.per_round[2] == longer.per_round[0]
-    assert abs(longer.chi - est.chi) < 1e-12
+    mixing = topology.build_mixing(sched)
+    assert abs(mixing.chi - 3.0) < 1e-9
+    assert abs(mixing.per_round[0] - 1.0) <= 1e-12
+    assert abs(mixing.per_round[1] - 3.0) < 1e-9
 
 
 def test_contraction_holds_with_measured_chi():
@@ -192,13 +188,6 @@ def test_mixing_schedule_matrices_are_read_only():
         mixing.w(0)[0, 0] = 1.0
 
 
-def test_edges_json_roundtrip():
-    edges = topology.ring_edges(5)
-    text = topology.edges_to_json(edges)
-    assert json.loads(text) == [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]
-    assert topology.edges_from_json(text) == edges
-
-
 def test_gossip_csv_full_precision(tmp_path):
     w = topology.gossip_matrix(topology.ring_edges(5), 5)
     path = tmp_path / "w.csv"
@@ -212,6 +201,33 @@ def test_gossip_csv_full_precision(tmp_path):
 
 def test_ring_star_chi_near_thousand_for_n100():
     # the ring dominates: lambda_max ~ 4, lambda_min_plus ~ (2 pi / n)^2
-    est = topology.estimate_chi(topology.ring_star_schedule(100))
-    assert 900 < est.chi < 1100
-    assert abs(est.per_round[1] - 100.0) < 1e-6
+    mixing = topology.build_mixing(topology.ring_star_schedule(100))
+    assert 900 < mixing.chi < 1100
+    assert abs(mixing.per_round[1] - 100.0) < 1e-6
+
+
+@st.composite
+def _connected_pools(draw):
+    # each graph is a random spanning tree plus random extra edges
+    n = draw(st.integers(2, 12))
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges += draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+        pool.append(edges)
+    return topology.schedule_from_pool(pool, n)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_connected_pools())
+def test_build_mixing_matches_per_graph_spectra(sched):
+    mixing = topology.build_mixing(sched)
+    for q in range(sched.cycle):
+        w = topology.gossip_matrix(sched.edges(q), sched.n)
+        assert np.array_equal(mixing.w(q), w)
+        evals = np.linalg.eigvalsh(topology.laplacian(sched.edges(q), sched.n))
+        lam_min_plus = evals[evals > topology.EIGENVALUE_FLOOR * evals[-1]][0]
+        assert mixing.per_round[q] == max(evals[-1] / lam_min_plus, 1.0)
+    assert len(mixing.per_round) == sched.cycle
+    assert mixing.chi == max(mixing.per_round)
