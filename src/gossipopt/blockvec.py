@@ -6,7 +6,9 @@ blocks are all equal; its orthogonal complement holds the vectors whose
 blocks sum to zero. Mixing a distributed vector with a gossip matrix costs
 one communication round; ``multi_mix`` chains T rounds, which tightens the
 contraction on the zero-block-sum subspace from (1 - 1/chi) to
-(1 - 1/chi)**T.
+(1 - 1/chi)**T. ``multi_mix`` is the sequential reference: the solver applies
+the T rounds as one ``mix`` with the compound operator that
+``MixingSchedule.compound`` builds by running ``multi_mix`` on the identity.
 """
 
 from __future__ import annotations
@@ -67,14 +69,17 @@ def multi_mix(mixing, k, T, v):
     """Apply the T-round compound gossip operator of iteration k.
 
     Computes ``v - prod_{q=kT}^{(k+1)T-1} (I - W(q)) v`` by T sequential
-    single-round mixes, never materializing the compound matrix. Costs T
-    communication rounds. For zero-block-sum v the result satisfies
-    ``||out - v||^2 <= (1 - 1/chi)**T ||v||^2``.
+    single-round mixes. Costs T communication rounds. For zero-block-sum v
+    the result satisfies ``||out - v||^2 <= (1 - 1/chi)**T ||v||^2``.
+
+    This is the reference oracle for ``MixingSchedule.compound``, which
+    builds the compound matrix by applying it to the identity.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     v = as_blocks(v)
-    r = v
+    # In place, so building a compound operator holds three n x n arrays.
+    r = v.copy()
     for q in range(k * T, (k + 1) * T):
-        r = r - mix(mixing.w(q), r)
-    return v - r
+        r -= mix(mixing.w(q), r)
+    return np.subtract(v, r, out=r)

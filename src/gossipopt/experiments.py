@@ -46,6 +46,14 @@ _CONFIG_KEYS = {
 }
 
 
+# Keys each problem kind takes besides "kind".
+_PROBLEM_KEYS = {
+    "synthetic_logistic": {"n", "m", "d", "seed", "kappa"},
+    "random_quadratic": {"n", "d", "L", "mu", "seed"},
+    "hard_instance": {"chi", "L", "mu", "d_trunc"},
+}
+
+
 @dataclass
 class ExperimentConfig:
     """One run: problem, topology, algorithm knobs, stop rule, output."""
@@ -114,8 +122,16 @@ class ExperimentResult:
 
 
 def build_problem(problem):
-    """Return (objectives, hard_instance_or_None) for a problem section."""
+    """Return (objectives, hard_instance_or_None) for a problem section.
+
+    A key the problem kind does not take is an error, not ignored.
+    """
     kind = problem["kind"]
+    if kind not in _PROBLEM_KEYS:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    unknown = sorted(set(problem) - _PROBLEM_KEYS[kind] - {"kind"})
+    if unknown:
+        raise ValueError(f"unknown key for a {kind} problem: {', '.join(unknown)}")
     if kind == "synthetic_logistic":
         obj = gen_synthetic_logistic(
             problem["n"],
@@ -134,12 +150,10 @@ def build_problem(problem):
             problem["seed"],
         )
         return obj, None
-    if kind == "hard_instance":
-        instance = hardcase.build_hard_instance(
-            problem["chi"], problem["L"], problem["mu"], problem["d_trunc"]
-        )
-        return instance.objectives, instance
-    raise ValueError(f"unknown problem kind {kind!r}")
+    instance = hardcase.build_hard_instance(
+        problem["chi"], problem["L"], problem["mu"], problem["d_trunc"]
+    )
+    return instance.objectives, instance
 
 
 def _build_schedule(config, instance):
@@ -201,6 +215,11 @@ def run_experiment(config, output_dir=None):
     started = time.perf_counter()
     objectives, instance = build_problem(config.problem)
     schedule = _build_schedule(config, instance)
+    if schedule.n != objectives.n:
+        raise ValueError(
+            f"topology has n={schedule.n} nodes but the problem has "
+            f"n={objectives.n}"
+        )
     mixing = topology.build_mixing(schedule)
 
     chi_measured = mixing.chi

@@ -228,9 +228,11 @@ class CertReport:
         return self.first_violation is None
 
 
-def _support_length(block, zero_tol):
-    idx = np.flatnonzero(np.abs(block) > zero_tol)
-    return int(idx[-1]) + 1 if idx.size else 0
+def _support_lengths(x, zero_tol):
+    """Per-row length of the prefix holding every coordinate above zero_tol."""
+    mask = np.abs(x) > zero_tol
+    last = x.shape[1] - np.argmax(mask[:, ::-1], axis=1)
+    return np.where(mask.any(axis=1), last, 0)
 
 
 def certify_run(instance, xs, T=1, zero_tol=1e-12):
@@ -244,6 +246,9 @@ def certify_run(instance, xs, T=1, zero_tol=1e-12):
         worst-case span s_i;
     (b) ||x_i - x*||^2 >= rho^(2 s_i + 2) / (1 - rho^2) minus the
         truncation slack 2 rho^(2 d_trunc) / (1 - rho^2).
+
+    The first violation reported is the one at the lowest-index node of the
+    earliest failing iterate, a support failure before a distance failure.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -268,35 +273,33 @@ def certify_run(instance, xs, T=1, zero_tol=1e-12):
             tracker = tracker.after_compute()
             for _ in range(T):
                 tracker = tracker.after_communicate()
-        ok_a = True
-        ok_b = True
-        for i in range(instance.n):
-            si = tracker.s[i]
-            support = _support_length(x[i], zero_tol)
-            if support > si:
-                ok_a = False
-                if first_violation is None:
-                    first_violation = {
-                        "check": "support",
-                        "k": k,
-                        "node": i,
-                        "support": support,
-                        "span": si,
-                    }
-            dist = float(np.sum((x[i] - x_star) ** 2))
-            bound = rho ** (2 * si + 2) / tail - slack
-            if dist < bound - 1e-12 * max(1.0, abs(bound)):
-                ok_b = False
-                if first_violation is None:
-                    first_violation = {
-                        "check": "distance",
-                        "k": k,
-                        "node": i,
-                        "distance_sq": dist,
-                        "bound": bound,
-                    }
-        support_ok.append(ok_a)
-        distance_ok.append(ok_b)
+        span = np.array(tracker.s)
+        support = _support_lengths(x, zero_tol)
+        dist = np.sum((x - x_star) ** 2, axis=1)
+        bound = rho ** (2 * span + 2) / tail - slack
+        bad_a = support > span
+        bad_b = dist < bound - 1e-12 * np.maximum(1.0, np.abs(bound))
+        support_ok.append(not bad_a.any())
+        distance_ok.append(not bad_b.any())
+        bad = bad_a | bad_b
+        if first_violation is None and bad.any():
+            i = int(np.argmax(bad))
+            if bad_a[i]:
+                first_violation = {
+                    "check": "support",
+                    "k": k,
+                    "node": i,
+                    "support": int(support[i]),
+                    "span": int(span[i]),
+                }
+            else:
+                first_violation = {
+                    "check": "distance",
+                    "k": k,
+                    "node": i,
+                    "distance_sq": float(dist[i]),
+                    "bound": float(bound[i]),
+                }
 
     return CertReport(
         support_ok=tuple(support_ok),

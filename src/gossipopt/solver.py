@@ -261,11 +261,12 @@ def _mix_rounds(mixing, k, T, payloads):
     """Mix several payloads through the same T rounds of iteration k.
 
     The payloads are concatenated along the block dimension so each
-    simulated round is a single exchange carrying all of them.
+    simulated round is a single exchange carrying all of them; the T rounds
+    are applied as one matmul with the schedule's compound operator.
     """
     widths = [p.shape[1] for p in payloads]
     stacked = np.concatenate(payloads, axis=1)
-    mixed = blockvec.multi_mix(mixing, k, T, stacked)
+    mixed = blockvec.mix(mixing.compound(k, T), stacked)
     out = []
     start = 0
     for width in widths:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blockvec
+
 __all__ = [
     "TopologySchedule",
     "MixingSchedule",
@@ -223,25 +225,30 @@ def random_geometric_schedule(n, radius, pool_size, seed):
     return TopologySchedule(n=n, kind="random_geometric", pool=pool)
 
 
+# Builder of each schedule kind and the parameters it takes besides n.
 _SCHEDULE_BUILDERS = {
-    "ring_star": lambda n, params: ring_star_schedule(n),
-    "star_cycle": lambda n, params: star_cycle_schedule(n),
-    "random_geometric": lambda n, params: random_geometric_schedule(
-        n, params["radius"], params["pool_size"], params["seed"]
-    ),
+    "ring_star": (ring_star_schedule, ()),
+    "star_cycle": (star_cycle_schedule, ()),
+    "random_geometric": (random_geometric_schedule, ("radius", "pool_size", "seed")),
 }
 
 
 def make_schedule(kind, n, **params):
-    """Build a schedule by kind name; see the individual constructors."""
+    """Build a schedule by kind name; see the individual constructors.
+
+    A parameter the kind does not take is an error, not ignored.
+    """
     try:
-        builder = _SCHEDULE_BUILDERS[kind]
+        builder, keys = _SCHEDULE_BUILDERS[kind]
     except KeyError:
         raise ValueError(
             f"unknown schedule kind {kind!r}; expected one of "
             f"{sorted(_SCHEDULE_BUILDERS)}"
         ) from None
-    return builder(n, params)
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key for a {kind} topology: {', '.join(unknown)}")
+    return builder(n, **params)
 
 
 def laplacian(edges, n):
@@ -387,6 +394,7 @@ class MixingSchedule:
         self._mats = tuple(mats)
         self.chi = chi
         self.per_round = per_round
+        self._compound = {}
         for mat in self._mats:
             mat.setflags(write=False)
 
@@ -401,6 +409,26 @@ class MixingSchedule:
     def w(self, q):
         """Gossip matrix of round q."""
         return self._mats[q % self.cycle]
+
+    def compound(self, k, T):
+        """Read-only T-round operator ``I - prod_{q=kT}^{(k+1)T-1} (I - W(q))``.
+
+        Applying it is one matmul equal to ``blockvec.multi_mix(self, k, T,
+        v)``. At T = 1 it is ``w(k)`` itself. For T > 1 it depends only on
+        ``kT mod cycle``, so it is built on first use by applying
+        ``multi_mix`` to the identity and cached under the key
+        ``(kT mod cycle, T)``: at most ``cycle / gcd(T, cycle)`` n x n
+        matrices per T used, never more than the per-round matrices held.
+        """
+        if T == 1:
+            return self.w(k)
+        key = (k * T % self.cycle, T)
+        op = self._compound.get(key)
+        if op is None:
+            op = blockvec.multi_mix(self, k, T, np.eye(self.n))
+            op.setflags(write=False)
+            self._compound[key] = op
+        return op
 
     def edges(self, q):
         return self.topology.edges(q)

@@ -111,6 +111,16 @@ def test_certification_attached_to_summary():
     assert result.cert_report.passed
 
 
+def test_certify_multi_consensus_run():
+    # chi = 9: n = 9, a cycle of 3 stars and T = ceil(9 ln 2) = 7
+    result = experiments.run_experiment(_hard_config(T="auto", certify=True))
+    s = result.summary
+    assert s["T"] == 7
+    assert s["certified"] is True
+    assert s["iterations"] == 30
+    assert s["comm_rounds"] == 7 * s["iterations"]
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="budget"):
         ExperimentConfig(problem={"kind": "random_quadratic"})
@@ -166,6 +176,35 @@ def test_config_from_dict_rejects_unknown_keys(section, key):
     (obj if section is None else obj.setdefault(section, {}))[key] = 5
     with pytest.raises(ValueError, match=f"unknown config key.*{key}"):
         ExperimentConfig.from_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "config, section, extra, named",
+    [
+        (_quadratic_config, "problem", {"kappa": 5.0}, "random_quadratic problem: kappa"),
+        (_quadratic_config, "topology", {"radius": 0.3, "pool_size": 9},
+         "ring_star topology: pool_size, radius"),
+        (_hard_config, "problem", {"n": 9}, "hard_instance problem: n"),
+    ],
+    ids=["random_quadratic", "ring_star", "hard_instance"],
+)
+def test_run_experiment_rejects_unknown_problem_and_topology_keys(
+    config, section, extra, named
+):
+    cfg = config()
+    setattr(cfg, section, {**getattr(cfg, section), **extra})
+    with pytest.raises(ValueError, match=named):
+        experiments.run_experiment(cfg)
+
+
+def test_topology_n_must_match_problem_n(monkeypatch):
+    def unexpected(schedule):
+        raise AssertionError("mixing built before the node counts were compared")
+
+    monkeypatch.setattr(experiments.topology, "build_mixing", unexpected)
+    cfg = _quadratic_config(topology={"kind": "ring_star", "n": 5})
+    with pytest.raises(ValueError, match="n=5.*n=4"):
+        experiments.run_experiment(cfg)
 
 
 def test_sweep_singleton_matches_run():

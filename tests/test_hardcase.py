@@ -158,6 +158,21 @@ def test_certify_rejects_forged_trace():
     assert report.first_violation["k"] == 0
 
 
+def test_certify_reports_distance_violation_at_lowest_node():
+    inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
+    x = np.zeros((9, 30))
+    x[1] = inst.solution()  # every coordinate below zero_tol: support 0
+    x[2, 5] = 2.0  # support violation at a later node
+    report = hardcase.certify_run(inst, [x], zero_tol=1.0)
+    tail = 1.0 - inst.rho**2
+    bound = inst.rho**2 / tail - 2.0 * inst.rho ** (2 * 30) / tail
+    assert report.support_ok == (False,)
+    assert report.distance_ok == (False,)
+    assert report.first_violation == {
+        "check": "distance", "k": 0, "node": 1, "distance_sq": 0.0, "bound": bound,
+    }
+
+
 def test_lower_bound_curve_shapes():
     chi, L, mu = 9.0, 16.0, 1.0
     rho = hardcase.hard_rho(L, mu)

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipopt import topology
+from gossipopt import blockvec, topology
 
 
 def _connected_by_bfs(edges, n):
@@ -71,6 +73,10 @@ def test_random_geometric_pool_graphs_are_connected():
         lambda: topology.random_geometric_schedule(5, 1.5, 3, 1),
         lambda: topology.random_geometric_schedule(5, 0.4, 0, 1),
         lambda: topology.make_schedule("nope", 4),
+        lambda: topology.make_schedule("ring_star", 4, radius=0.3, pool_size=9),
+        lambda: topology.make_schedule(
+            "random_geometric", 5, radius=0.5, pool_size=2, seed=0, kappa=5.0
+        ),
     ],
 )
 def test_invalid_schedules_rejected(build):
@@ -219,7 +225,7 @@ def _connected_pools(draw):
     return topology.schedule_from_pool(pool, n)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_connected_pools())
 def test_build_mixing_matches_per_graph_spectra(sched):
     mixing = topology.build_mixing(sched)
@@ -231,3 +237,24 @@ def test_build_mixing_matches_per_graph_spectra(sched):
         assert mixing.per_round[q] == max(evals[-1] / lam_min_plus, 1.0)
     assert len(mixing.per_round) == sched.cycle
     assert mixing.chi == max(mixing.per_round)
+
+
+@settings(max_examples=60)
+@given(_connected_pools(), st.integers(1, 40), st.data())
+def test_compound_matches_sequential_multi_mix(sched, T, data):
+    mixing = topology.build_mixing(sched)
+    cycle = sched.cycle
+    k = data.draw(st.integers(0, 3 * cycle))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    v = np.random.default_rng(seed).standard_normal((sched.n, 3))
+    op = mixing.compound(k, T)
+    want = blockvec.multi_mix(mixing, k, T, v)
+    assert np.linalg.norm(blockvec.mix(op, v) - want) <= 1e-12 * np.linalg.norm(v)
+    assert mixing.compound(k, 1) is mixing.w(k)
+    assert mixing.compound(k + cycle // math.gcd(T, cycle), T) is op
+    assert not op.flags.writeable
+    # contraction on the zero-block-sum subspace, up to rounding
+    u = v - v.mean(axis=0)
+    diff = blockvec.mix(op, u) - u
+    bound = (1.0 - 1.0 / mixing.chi) ** T
+    assert np.vdot(diff, diff) <= (bound + 1e-12) * np.vdot(u, u)
