@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import hardcase, solver, topology
@@ -80,6 +80,11 @@ class ExperimentConfig:
             raise ValueError(f"T must be a positive integer or 'auto', got {self.T}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
+        unknown = sorted(
+            set(self.param_overrides) - {f.name for f in fields(solver.Params)}
+        )
+        if unknown:
+            raise ValueError(f"unknown parameter override: {', '.join(unknown)}")
 
     @classmethod
     def from_dict(cls, obj):
@@ -205,22 +210,44 @@ def emit(records, fmt="csv", path=None):
     return text
 
 
-def run_experiment(config, output_dir=None):
+def _build_mixing(config, instance, n, memo):
+    """Gossip matrices of the config's topology, shared through ``memo``.
+
+    ``memo`` maps a canonical topology section to its built mixing; only
+    successful builds of configs with a ``topology`` section are stored.
+    """
+    key = None
+    if memo is not None and config.topology is not None:
+        key = json.dumps(config.topology, sort_keys=True)
+    mixing = memo.get(key) if key is not None else None
+    schedule = _build_schedule(config, instance) if mixing is None else mixing.topology
+    if schedule.n != n:
+        raise ValueError(
+            f"topology has n={schedule.n} nodes but the problem has n={n}"
+        )
+    if mixing is None:
+        mixing = topology.build_mixing(schedule)
+        if key is not None:
+            memo[key] = mixing
+    return mixing
+
+
+def run_experiment(config, output_dir=None, *, mixing_memo=None):
     """Build every piece from the config, run, and write outputs.
 
     The declared network condition number, when present, is validated
     against the measured one (declaring less than measured is an error) and
     then drives the parameter schedule.
+
+    ``mixing_memo``, a dict, lets runs that share a topology section build
+    its gossip matrices once; :func:`sweep` passes one per call.
     """
     started = time.perf_counter()
     objectives, instance = build_problem(config.problem)
-    schedule = _build_schedule(config, instance)
-    if schedule.n != objectives.n:
-        raise ValueError(
-            f"topology has n={schedule.n} nodes but the problem has "
-            f"n={objectives.n}"
-        )
-    mixing = topology.build_mixing(schedule)
+    nu = config.param_overrides.get("nu")
+    if nu is not None and not nu < objectives.mu:
+        raise ValueError(f"override nu={nu} must be below mu={objectives.mu}")
+    mixing = _build_mixing(config, instance, objectives.n, mixing_memo)
 
     chi_measured = mixing.chi
     chi_used = chi_measured
@@ -329,6 +356,9 @@ def _config_with(config, axis, value):
 def sweep(base_config, axis, values, output_dir=None):
     """One run per value along the axis; failures mark their row only.
 
+    Rows that share a topology section share its gossip matrices for the
+    length of this call: the first row that needs them builds them.
+
     Returns rows with the counts needed for complexity plots: iterations,
     communication rounds and gradient calls at the stop target (None when
     the run only exhausted its budget).
@@ -336,10 +366,15 @@ def sweep(base_config, axis, values, output_dir=None):
     if not values:
         raise ValueError("sweep needs at least one value")
     rows = []
+    mixing_memo = {}
     for value in values:
         row = {"axis": axis, "value": value}
         try:
-            result = run_experiment(_config_with(base_config, axis, value), output_dir)
+            result = run_experiment(
+                _config_with(base_config, axis, value),
+                output_dir,
+                mixing_memo=mixing_memo,
+            )
         except Exception as exc:  # noqa: BLE001 - row-level fault isolation
             row.update(
                 status="error",

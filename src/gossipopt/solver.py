@@ -84,10 +84,17 @@ class Params:
     chi: float
 
     def override(self, **values):
-        """Replace selected fields; every override must stay positive."""
+        """Replace selected fields; every override must stay positive.
+
+        ``tau1`` and ``sigma1`` must also stay below 1. The ``nu < mu``
+        invariant needs mu, which these fields do not carry; the caller
+        checks it.
+        """
         for name, value in values.items():
             if not value > 0:
                 raise ValueError(f"override {name}={value} must be positive")
+            if name in ("tau1", "sigma1") and not value < 1:
+                raise ValueError(f"override {name}={value} must be below 1")
         return replace(self, **values)
 
 

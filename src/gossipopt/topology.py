@@ -69,9 +69,25 @@ class _UnionFind:
         return False
 
 
-def _canonical(edges):
-    """Sorted tuple of (i, j) pairs with i < j and duplicates removed."""
-    return tuple(sorted({(min(i, j), max(i, j)) for i, j in edges}))
+def _pairs(edges, n):
+    """Edge list as an (m, 2) integer array; every endpoint must be in [0, n)."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+        raise ValueError(f"edge endpoint out of range for n={n}")
+    return pairs
+
+
+def _canonical(edges, n):
+    """Sorted tuple of (i, j) pairs with i < j and duplicates removed.
+
+    Each pair is keyed as ``i * n + j`` once its ends are ordered, so one
+    ``np.unique`` sorts and dedupes; the pairs come back as Python ints.
+    """
+    pairs = _pairs(edges, n)
+    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    return tuple(zip((keys // n).tolist(), (keys % n).tolist()))
 
 
 def _is_connected(edges, n):
@@ -86,7 +102,7 @@ def ring_edges(n):
     """Edge set of the ring on n nodes: (i, i+1 mod n)."""
     if n < 2:
         raise ValueError(f"ring needs n >= 2, got {n}")
-    return _canonical((i, (i + 1) % n) for i in range(n))
+    return _canonical([(i, (i + 1) % n) for i in range(n)], n)
 
 
 def star_edges(n, center=0):
@@ -95,7 +111,7 @@ def star_edges(n, center=0):
         raise ValueError(f"star needs n >= 2, got {n}")
     if not 0 <= center < n:
         raise ValueError(f"center {center} out of range for n={n}")
-    return _canonical((center, j) for j in range(n) if j != center)
+    return _canonical([(center, j) for j in range(n) if j != center], n)
 
 
 def random_geometric_edges(n, radius, seed, index):
@@ -104,8 +120,10 @@ def random_geometric_edges(n, radius, seed, index):
     Node coordinates are drawn from a counter-based generator keyed by
     ``(seed, index, node)``, so the graph is a pure function of its arguments
     and reproducible across platforms. Pairs closer than ``radius`` are
-    connected; if the threshold graph is disconnected, the minimum number of
-    index-path edges ``(i, i+1)`` joining distinct components is added.
+    connected. If the threshold graph is disconnected, it is bridged along
+    the index path: the lowest-index node ``m > 0`` of each component is
+    joined to its predecessor by the edge ``(m - 1, m)``, the minimum number
+    of edges that connects it.
 
     Parameters
     ----------
@@ -133,18 +151,15 @@ def random_geometric_edges(n, radius, seed, index):
 
     diffs = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt((diffs**2).sum(axis=2))
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if dist[i, j] < radius
-    ]
+    rows, cols = np.nonzero(np.triu(dist < radius, 1))
 
     uf = _UnionFind(n)
-    for i, j in edges:
+    for i, j in zip(rows.tolist(), cols.tolist()):
         uf.union(i, j)
-    for i in range(n - 1):
-        if uf.find(i) != uf.find(i + 1):
-            uf.union(i, i + 1)
-            edges.append((i, i + 1))
-    return _canonical(edges)
+    bridged = np.array([i for i in range(n - 1) if uf.union(i, i + 1)], dtype=int)
+    rows = np.concatenate([rows, bridged])
+    cols = np.concatenate([cols, bridged + 1])
+    return _canonical(np.column_stack([rows, cols]), n)
 
 
 def star_cycle_center(n, q):
@@ -186,7 +201,7 @@ def schedule_from_pool(pool, n, kind="custom"):
         raise ValueError("pool must be nonempty")
     canon = []
     for edges in pool:
-        edges = _canonical(edges)
+        edges = _canonical(edges, n)
         if not _is_connected(edges, n):
             raise ValueError("every pooled edge set must be connected")
         if any(i == j for i, j in edges):
@@ -253,12 +268,11 @@ def make_schedule(kind, n, **params):
 
 def laplacian(edges, n):
     """Combinatorial graph Laplacian (degree matrix minus adjacency)."""
-    lap = np.zeros((n, n))
-    for i, j in edges:
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
+    pairs = _pairs(edges, n)
+    i, j = pairs[:, 0], pairs[:, 1]
+    lap = np.diag(np.bincount(pairs.ravel(), minlength=n).astype(float))
+    np.subtract.at(lap, (i, j), 1.0)
+    np.subtract.at(lap, (j, i), 1.0)
     return lap
 
 
@@ -335,14 +349,11 @@ def validate_gossip(w, edges, chi, samples=50, seed=0):
     n = w.shape[0]
     if w.shape != (n, n):
         raise ValueError(f"gossip matrix must be square, got {w.shape}")
-    edge_set = set(_canonical(edges))
-
-    sparsity_ok = True
-    for i in range(n):
-        for j in range(n):
-            if i != j and abs(w[i, j]) > 1e-12:
-                if (min(i, j), max(i, j)) not in edge_set:
-                    sparsity_ok = False
+    pairs = _pairs(edges, n)
+    off_edge = ~np.eye(n, dtype=bool)
+    off_edge[pairs[:, 0], pairs[:, 1]] = False
+    off_edge[pairs[:, 1], pairs[:, 0]] = False
+    sparsity_ok = not np.any(off_edge & (np.abs(w) > 1e-12))
 
     ones = np.ones(n)
     kernel_residual = float(np.abs(w @ ones).max())

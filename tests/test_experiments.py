@@ -100,6 +100,28 @@ def test_param_overrides_change_the_trajectory():
     )
 
 
+def test_unknown_param_override_fails_at_load():
+    obj = {
+        "problem": {"kind": "hard_instance", "chi": 9.0, "L": 16.0, "mu": 1.0,
+                    "d_trunc": 40},
+        "algorithm": {"param_overrides": {"tau": 0.5}},
+        "stop": {"budget": 10},
+    }
+    with pytest.raises(ValueError, match="override: tau"):
+        ExperimentConfig.from_dict(obj)
+
+
+def test_override_nu_must_stay_below_mu(monkeypatch):
+    def unexpected(schedule):
+        raise AssertionError("mixing built before the overrides were checked")
+
+    monkeypatch.setattr(experiments.topology, "build_mixing", unexpected)
+    for nu in (1.0, 7.0):  # mu = 1
+        cfg = _quadratic_config(param_overrides={"nu": nu})
+        with pytest.raises(ValueError, match="nu=.*mu=1"):
+            experiments.run_experiment(cfg)
+
+
 def test_certify_requires_hard_instance():
     with pytest.raises(ValueError, match="hard_instance"):
         experiments.run_experiment(_quadratic_config(certify=True))
@@ -229,6 +251,79 @@ def test_sweep_axis_validation():
         experiments.sweep(cfg, "chi", [])
     rows = experiments.sweep(cfg, "kappa", [10.0])
     assert rows[0]["status"] == "error"  # kappa sweeps need a logistic problem
+
+
+def _logistic_rgg_config(**overrides):
+    base = dict(
+        problem={"kind": "synthetic_logistic", "n": 8, "m": 10, "d": 4,
+                 "kappa": 10.0, "seed": 1},
+        topology={"kind": "random_geometric", "n": 8, "radius": 0.5,
+                  "pool_size": 4, "seed": 7},
+        budget=15,
+        output_path="sweep.csv",
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def _count_build_mixing(monkeypatch):
+    calls = []
+    build = experiments.topology.build_mixing
+
+    def counted(schedule):
+        calls.append(schedule)
+        return build(schedule)
+
+    monkeypatch.setattr(experiments.topology, "build_mixing", counted)
+    return calls
+
+
+def test_kappa_sweep_builds_topology_once(tmp_path, monkeypatch):
+    cfg = _logistic_rgg_config()
+    values = [10.0, 100.0, 1000.0]
+    for value in values:
+        experiments.run_experiment(
+            experiments._config_with(cfg, "kappa", value),
+            output_dir=str(tmp_path / "single"),
+        )
+    calls = _count_build_mixing(monkeypatch)
+    rows = experiments.sweep(cfg, "kappa", values, output_dir=str(tmp_path / "sweep"))
+    assert len(calls) == 1
+    assert [r["status"] for r in rows] == ["ok"] * 3
+    for value in values:
+        name = f"sweep_kappa{value}.csv"
+        single = (tmp_path / "single" / name).read_bytes()
+        assert (tmp_path / "sweep" / name).read_bytes() == single
+
+
+def test_consecutive_sweeps_build_once_each(monkeypatch):
+    calls = _count_build_mixing(monkeypatch)
+    cfg = _logistic_rgg_config(output_path=None)
+    experiments.sweep(cfg, "kappa", [10.0, 100.0])
+    experiments.sweep(cfg, "kappa", [10.0, 100.0])
+    assert len(calls) == 2
+    assert calls[0] is not calls[1]
+
+
+def test_sweep_with_failing_topology_reports_every_row(monkeypatch):
+    calls = []
+
+    def failing(schedule):
+        calls.append(schedule)
+        raise ValueError(f"build {len(calls)} failed")
+
+    monkeypatch.setattr(experiments.topology, "build_mixing", failing)
+    cfg = _logistic_rgg_config(output_path=None)
+    rows = experiments.sweep(cfg, "kappa", [10.0, 100.0, 1000.0])
+    assert [r["status"] for r in rows] == ["error"] * 3
+    assert [r["error"] for r in rows] == [f"build {i} failed" for i in (1, 2, 3)]
+
+
+def test_sweep_shares_no_mixing_without_topology_section(monkeypatch):
+    calls = _count_build_mixing(monkeypatch)
+    rows = experiments.sweep(_hard_config(budget=2), "T", [1, 2])
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert len(calls) == 2
 
 
 def test_sweep_T_axis():

@@ -112,6 +112,15 @@ def test_param_override():
         p.override(gamma=-1.0)
 
 
+@pytest.mark.parametrize("name", ["tau1", "sigma1"])
+@pytest.mark.parametrize("value", [1.0, 3.0, 0.0])
+def test_param_override_keeps_interpolation_weights_in_unit_interval(name, value):
+    p = solver.derive_params(4.0, 1.0, 2.0)
+    with pytest.raises(ValueError, match=name):
+        p.override(**{name: value})
+    assert getattr(p.override(**{name: 0.5}), name) == 0.5
+
+
 def test_effective_chi():
     assert solver.effective_chi(7.0, 1) == 7.0
     # T = ceil(chi ln 2) drives the contraction to 1/2 or better

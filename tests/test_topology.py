@@ -63,6 +63,70 @@ def test_random_geometric_pool_graphs_are_connected():
         assert all(i != j for i, j in edges)
 
 
+def _random_geometric_by_loops(n, radius, seed, index):
+    # reference: the same coordinates and distances, a pair loop, and
+    # union-find bridging along the index path
+    coords = np.empty((n, 2))
+    for i in range(n):
+        coords[i] = np.random.default_rng([seed, index, i]).random(2)
+    diffs = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt((diffs**2).sum(axis=2))
+    edges = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if dist[i, j] < radius
+    ]
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in edges:
+        parent[find(j)] = find(i)
+    for i in range(n - 1):
+        if find(i) != find(i + 1):
+            parent[find(i + 1)] = find(i)
+            edges.append((i, i + 1))
+    return tuple(sorted(set(edges)))
+
+
+def _laplacian_by_loops(edges, n):
+    lap = np.zeros((n, n))
+    for i, j in edges:
+        lap[i, i] += 1.0
+        lap[j, j] += 1.0
+        lap[i, j] -= 1.0
+        lap[j, i] -= 1.0
+    return lap
+
+
+@settings(max_examples=80)
+@given(
+    st.integers(2, 60),
+    st.floats(0.01, 1.4),
+    st.integers(0, 2**16),
+    st.integers(0, 100),
+)
+def test_random_geometric_edges_match_loop_reference(n, radius, seed, index):
+    edges = topology.random_geometric_edges(n, radius, seed, index)
+    assert edges == _random_geometric_by_loops(n, radius, seed, index)
+    assert type(edges) is tuple
+    assert all(type(e) is tuple and len(e) == 2 for e in edges)
+    assert all(type(v) is int for e in edges for v in e)
+    assert np.array_equal(
+        topology.laplacian(edges, n), _laplacian_by_loops(edges, n)
+    )
+
+
+def test_laplacian_counts_duplicates_and_rejects_out_of_range_nodes():
+    edges = [(0, 1), (1, 0), (1, 2)]
+    assert np.array_equal(topology.laplacian(edges, 3), _laplacian_by_loops(edges, 3))
+    with pytest.raises(ValueError, match="out of range"):
+        topology.laplacian([(0, 3)], 3)
+    with pytest.raises(ValueError, match="out of range"):
+        topology.schedule_from_pool([[(0, 1), (1, -1)]], 3)
+
+
 @pytest.mark.parametrize(
     "build",
     [
