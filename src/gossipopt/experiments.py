@@ -317,6 +317,7 @@ def run_experiment(config, output_dir=None, *, mixing_memo=None):
         "d": objectives.d,
         "L": objectives.L,
         "mu": objectives.mu,
+        "certified_params": not config.param_overrides,
         "wall_time_s": time.perf_counter() - started,
         "output_path": out_path,
     }

@@ -15,7 +15,10 @@ The minimizer has the closed form x* = (rho, rho^2, ...) with
 
 truncated here to d_trunc coordinates (the tail is geometrically small).
 A span tracker replays the worst-case growth of the coordinate prefix each
-node can have touched; the certifier checks any traced run against it.
+node can have touched; the certifier checks any traced run against it,
+advancing the tracker one whole iteration (a local computation and T
+communication rounds) at a time through a closed-form update that the
+round-by-round tracker methods serve as the reference for.
 """
 
 from __future__ import annotations
@@ -159,6 +162,10 @@ class SpanTracker:
     s_i, middle nodes never. A communication round moves information only
     through the round's star center: the center learns the global maximum,
     everyone else at most the center's previous value.
+
+    :meth:`after_compute` and :meth:`after_communicate` apply one round each
+    and are the reference; :meth:`after_iteration` applies a computation and
+    T communication rounds at once in closed form.
     """
 
     s: tuple
@@ -196,6 +203,33 @@ class SpanTracker:
             for i, si in enumerate(self.s)
         )
         return SpanTracker(s=new, q=self.q + 1, n=self.n)
+
+    def after_iteration(self, T):
+        """One local computation followed by T communication rounds.
+
+        Equal to :meth:`after_compute` and then T calls of
+        :meth:`after_communicate`, in closed form. No round raises the
+        maximum M of the computed spans, and each center leaves its round at
+        M. While the T centers C are distinct (T <= n/3), the j-th center
+        enters its round holding the largest computed span of the first j
+        centers, so every node ends at max(s_i, max(s[C])) and every center
+        at M. Past n/3 rounds the first center is revisited holding M and
+        passes it to every node.
+        """
+        if T < 1:
+            raise ValueError(f"T must be >= 1, got {T}")
+        g = self.group_size
+        s = np.array(self.s)
+        s[:g] += 1 - s[:g] % 2
+        s[2 * g :] += s[2 * g :] % 2
+        peak = s.max()
+        if T > g:
+            s[:] = peak
+        else:
+            centers = g + (self.q + np.arange(T)) % g
+            s = np.maximum(s, s[centers].max())
+            s[centers] = peak
+        return SpanTracker(s=tuple(s.tolist()), q=self.q + T, n=self.n)
 
 
 def span_ceiling(tracker):
@@ -240,7 +274,9 @@ def certify_run(instance, xs, T=1, zero_tol=1e-12):
 
     The trace ``xs`` holds the stacked x iterate after 0, 1, 2, ...
     iterations, each iteration consisting of one local computation round
-    followed by T communication rounds. Two checks per iterate and node:
+    followed by T communication rounds; the tracker advances one iterate
+    per :meth:`SpanTracker.after_iteration`. Two checks per iterate and
+    node:
 
     (a) the nonzero-coordinate prefix of x_i never exceeds the tracker's
         worst-case span s_i;
@@ -249,6 +285,7 @@ def certify_run(instance, xs, T=1, zero_tol=1e-12):
 
     The first violation reported is the one at the lowest-index node of the
     earliest failing iterate, a support failure before a distance failure.
+    An empty trace raises ValueError: it would certify nothing.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -270,9 +307,7 @@ def certify_run(instance, xs, T=1, zero_tol=1e-12):
                 f"{(instance.n, instance.d_trunc)}"
             )
         if k > 0:
-            tracker = tracker.after_compute()
-            for _ in range(T):
-                tracker = tracker.after_communicate()
+            tracker = tracker.after_iteration(T)
         span = np.array(tracker.s)
         support = _support_lengths(x, zero_tol)
         dist = np.sum((x - x_star) ** 2, axis=1)
@@ -301,6 +336,8 @@ def certify_run(instance, xs, T=1, zero_tol=1e-12):
                     "bound": float(bound[i]),
                 }
 
+    if not support_ok:
+        raise ValueError("empty trace: there is no iterate to certify")
     return CertReport(
         support_ok=tuple(support_ok),
         distance_ok=tuple(distance_ok),

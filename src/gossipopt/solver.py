@@ -51,14 +51,22 @@ DIVERGENCE_LIMIT = 1e100
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterate leaves the finite range; carries the iteration."""
+    """Raised when an iterate leaves the finite range.
 
-    def __init__(self, k, magnitude):
+    Carries the iteration ``k``, the ``field`` that blew up (``"x"``,
+    ``"y"``, ``"z"`` or ``"m"``) and its largest ``magnitude``. :func:`run`
+    attaches the record of the last finite iterate as ``last_record``.
+    """
+
+    def __init__(self, k, magnitude, field):
         super().__init__(
-            f"divergence at iteration {k}: max |coordinate| = {magnitude:.3e}"
+            f"divergence at iteration {k}: max |{field}| coordinate = "
+            f"{magnitude:.3e}"
         )
         self.k = k
         self.magnitude = magnitude
+        self.field = field
+        self.last_record = None
 
 
 @dataclass(frozen=True)
@@ -415,13 +423,11 @@ class RunResult:
 
 
 def _guard(state):
-    worst = 0.0
     for field in (state.x, state.y, state.z, state.m):
         peak = float(np.abs(field).max(initial=0.0))
         if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
-            raise DivergenceError(state.k, peak)
-        worst = max(worst, peak)
-    return worst
+            name = next(n for n in "xyzm" if getattr(state, n) is field)
+            raise DivergenceError(state.k, peak, name)
 
 
 def _record(state, params, objectives, reference, T, track_lyapunov):
@@ -487,6 +493,12 @@ def run(
     RunResult
         Records (one per visited iterate, including k = 0), final state,
         parameters, reference, and optionally the x trace.
+
+    Raises
+    ------
+    DivergenceError
+        When an iterate leaves the finite range, with the record of the
+        last finite iterate attached as ``last_record``.
     """
     if budget is None and target_eps is None:
         raise ValueError("need a budget, a target_eps, or both")
@@ -518,7 +530,11 @@ def run(
         if budget is not None and state.k >= budget:
             break
         state = step(state, params, objectives, mixing, T=T)
-        _guard(state)
+        try:
+            _guard(state)
+        except DivergenceError as err:
+            err.last_record = rec
+            raise
         if collect_trace:
             trace.append(state.x.copy())
 

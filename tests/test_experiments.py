@@ -98,6 +98,8 @@ def test_param_overrides_change_the_trajectory():
     assert (
         default.records[-1].err_sq_stacked != slowed.records[-1].err_sq_stacked
     )
+    assert default.summary["certified_params"] is True
+    assert slowed.summary["certified_params"] is False
 
 
 def test_unknown_param_override_fails_at_load():

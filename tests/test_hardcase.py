@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipopt import hardcase, objectives, solver, topology
 
@@ -126,6 +128,35 @@ def test_span_ceiling_under_random_interleavings(chi):
             assert all(s <= b for s, b in zip(tracker.s, bound))
 
 
+@st.composite
+def _tracker_and_rounds(draw):
+    g = draw(st.integers(1, 12))
+    n = 3 * g
+    s = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))
+    q = draw(st.integers(0, 100))
+    T = draw(st.one_of(st.sampled_from([g, g + 1]), st.integers(1, 3 * n)))
+    return hardcase.SpanTracker(s=tuple(s), q=q, n=n), T
+
+
+@given(_tracker_and_rounds())
+@settings(max_examples=400)
+def test_after_iteration_matches_sequential_rounds(case):
+    # any span tuple, reachable or not
+    tracker, T = case
+    want = tracker.after_compute()
+    for _ in range(T):
+        want = want.after_communicate()
+    got = tracker.after_iteration(T)
+    assert got.s == want.s
+    assert got.q == want.q == tracker.q + T
+    assert all(type(v) is int for v in got.s)
+
+
+def test_after_iteration_rejects_zero_rounds():
+    with pytest.raises(ValueError):
+        hardcase.SpanTracker.fresh(9).after_iteration(0)
+
+
 def test_certify_accepts_decentralized_run():
     inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 60)
     mixing = topology.build_mixing(inst.schedule)
@@ -195,3 +226,9 @@ def test_certify_input_validation():
         hardcase.certify_run(inst, [np.zeros((9, 10))])
     with pytest.raises(ValueError):
         hardcase.certify_run(inst, [np.zeros((9, 30))], T=0)
+
+
+def test_certify_rejects_empty_trace():
+    inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
+    with pytest.raises(ValueError, match="empty trace"):
+        hardcase.certify_run(inst, [], T=3)

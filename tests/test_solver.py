@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipopt import blockvec, objectives, solver, topology
 
@@ -153,6 +155,30 @@ def test_saddle_point_is_fixed(kind):
     # the buffer's consensus component drifts freely but is invisible to the
     # dynamics; its zero-sum part must stay at rounding scale
     assert np.linalg.norm(blockvec.project_consensus(state.m)) <= 1e-9
+
+
+@given(
+    n=st.integers(3, 8),
+    d=st.integers(2, 5),
+    kappa=st.floats(1.5, 30.0),
+    T=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40)
+def test_saddle_point_is_fixed_on_random_quadratics(n, d, kappa, T, seed):
+    obj = objectives.gen_random_quadratic(n, d, L=kappa, mu=1.0, seed=seed)
+    mixing = topology.build_mixing(topology.ring_star_schedule(n))
+    params = solver.derive_params(obj.L, obj.mu, solver.effective_chi(mixing.chi, T))
+    ref = solver.make_reference(obj, params.nu, tol=1e-13)
+    state = solver.saddle_state(ref)
+    for _ in range(10):
+        state = solver.step(state, params, obj, mixing, T=T)
+        for current, target in ((state.x, ref.x), (state.y, ref.y),
+                                (state.z, ref.z), (state.x_f, ref.x),
+                                (state.y_f, ref.y), (state.z_f, ref.z)):
+            rel = np.linalg.norm(current - target) / (1 + np.linalg.norm(target))
+            assert rel <= 1e-9
+        assert np.linalg.norm(blockvec.project_consensus(state.m)) <= 1e-9
 
 
 def test_step_matches_transcription_2node_scalar():
@@ -309,6 +335,11 @@ def test_divergence_guard_reports_iteration():
     with pytest.raises(solver.DivergenceError) as err:
         solver.run(obj, mixing, budget=50, params=params)
     assert err.value.k >= 1
+    assert err.value.field == "z"
+    assert "|z|" in str(err.value)
+    last = err.value.last_record
+    assert last.k == err.value.k - 1
+    assert math.isfinite(last.err_sq_stacked)
 
 
 def test_init_state_validation():
