@@ -3,11 +3,13 @@
 The construction splits n = 3 floor(chi/3) nodes into thirds. The first
 third holds the odd links of a chain quadratic plus an anchor pulling the
 first coordinate toward 1; the last third holds the even links; the middle
-third holds pure regularizers and exists only to relay information. The
-communication graph at round q is the star centered at the (q mod n/3)-th
-middle node, so a new coordinate of the chain can only light up after the
-star center has cycled, forcing Omega(chi sqrt(L/mu) log(1/eps))
-communication rounds for any first-order decentralized method.
+third holds pure regularizers and exists only to relay information. Each
+third shares one curvature matrix, so the instance stores three d_trunc x
+d_trunc matrices however large chi is. The communication graph at round q
+is the star centered at the (q mod n/3)-th middle node, so a new
+coordinate of the chain can only light up after the star center has
+cycled, forcing Omega(chi sqrt(L/mu) log(1/eps)) communication rounds for
+any first-order decentralized method.
 
 The minimizer has the closed form x* = (rho, rho^2, ...) with
 
@@ -110,6 +112,11 @@ def build_hard_instance(chi, L, mu, d_trunc):
         Smoothness and strong convexity, L > mu > 0.
     d_trunc : int
         Truncation dimension, >= 4.
+
+    The objectives hold one curvature matrix per third, shape
+    (3, d_trunc, d_trunc), whatever n is: chi = 300 with d_trunc = 400
+    stores 3.84 MB of curvature, not 384 MB. The linear terms and offsets
+    stay per node.
     """
     if chi < 3:
         raise ValueError(f"need chi >= 3, got {chi}")
@@ -125,20 +132,15 @@ def build_hard_instance(chi, L, mu, d_trunc):
     odd_pairs = [(a, a + 1) for a in range(1, d_trunc - 1, 2)]
     even_pairs = [(a, a + 1) for a in range(0, d_trunc - 1, 2)]
 
-    quad = np.empty((n, d_trunc, d_trunc))
-    lin = np.empty((n, d_trunc))
-    offsets = np.zeros(n)
     q1, l1, o1 = _chain_quadratic(d_trunc, L, mu, odd_pairs, anchor=True)
-    q2 = mu * np.eye(d_trunc)
     q3, l3, _ = _chain_quadratic(d_trunc, L, mu, even_pairs, anchor=False)
-    for i in range(n):
-        if i < g:
-            quad[i], lin[i], offsets[i] = q1, l1, o1
-        elif i < 2 * g:
-            quad[i], lin[i] = q2, 0.0
-        else:
-            quad[i], lin[i] = q3, l3
+    lin = np.zeros((n, d_trunc))
+    lin[:g], lin[2 * g :] = l1, l3
+    offsets = np.zeros(n)
+    offsets[:g] = o1
 
+    # The thirds are contiguous and equal, so each shares one matrix.
+    quad = np.stack([q1, mu * np.eye(d_trunc), q3])
     objectives = QuadraticObjectives(quad, lin, offsets=offsets, L=L, mu=mu)
     return HardInstance(
         chi=float(chi),

@@ -2,8 +2,9 @@
 
 Each of the n nodes owns one smooth, strongly convex function on R^d. Two
 families are provided: l2-regularized logistic losses over per-node data,
-and quadratics with per-node curvature matrices. Both expose full
-gradients blockwise and stacked. A centralized accelerated solver produces
+and quadratics whose curvature matrices are shared by equal, contiguous
+groups of nodes (down to one node per group). Both expose full gradients
+blockwise and stacked. A centralized accelerated solver produces
 high-accuracy minimizers of the averaged objective for use as test
 references.
 """
@@ -25,17 +26,30 @@ __all__ = [
 class QuadraticObjectives:
     """Per-node quadratics f_i(x) = x'Q_i x / 2 + c_i'x + offset_i.
 
+    The n nodes fall into K contiguous groups of n / K nodes that share one
+    curvature matrix: node i uses ``quad[i // (n // K)]``. K = n gives every
+    node its own matrix; the hard instance stores only its K = 3. Either way
+    ``grad`` and ``value`` apply the curvature to all nodes with one batched
+    matmul, which computes x_i'Q rather than Q x_i and so relies on every
+    matrix being symmetric.
+
     Parameters
     ----------
-    quad : ndarray, shape (n, d, d)
-        Symmetric positive definite curvature per node.
+    quad : ndarray, shape (K, d, d)
+        Symmetric positive definite curvature per group; K must divide n.
     lin : ndarray, shape (n, d)
-        Linear terms.
+        Linear terms, per node.
     offsets : ndarray, shape (n,), optional
         Additive constants (affect values, not gradients).
     L, mu : float, optional
-        Smoothness and strong-convexity constants. Computed from the node
-        spectra when omitted.
+        Smoothness and strong-convexity constants. Computed from the
+        curvature spectra when omitted.
+
+    Raises
+    ------
+    ValueError
+        If the shapes disagree, K does not divide n, or some Q differs from
+        its transpose by more than 1e-12 relative to the largest entry.
     """
 
     kind = "quadratic"
@@ -44,14 +58,27 @@ class QuadraticObjectives:
         quad = np.asarray(quad, dtype=float)
         lin = np.asarray(lin, dtype=float)
         if quad.ndim != 3 or quad.shape[1] != quad.shape[2]:
-            raise ValueError(f"quad must have shape (n, d, d), got {quad.shape}")
-        if lin.shape != quad.shape[:2]:
+            raise ValueError(f"quad must have shape (K, d, d), got {quad.shape}")
+        if lin.ndim != 2 or lin.shape[1] != quad.shape[1]:
             raise ValueError(
                 f"lin shape {lin.shape} disagrees with quad {quad.shape}"
+            )
+        if quad.shape[0] == 0 or lin.shape[0] % quad.shape[0]:
+            raise ValueError(
+                f"quad shape {quad.shape} does not split lin shape {lin.shape} "
+                f"into equal groups: K={quad.shape[0]} must divide n={lin.shape[0]}"
+            )
+        asym = np.abs(quad - quad.transpose(0, 2, 1))
+        worst = np.unravel_index(np.argmax(asym), asym.shape)
+        if asym[worst] > 1e-12 * np.abs(quad).max():
+            raise ValueError(
+                f"quad must be symmetric: |Q - Q'| reaches {asym[worst]:.3e} "
+                f"at matrix {worst[0]}, entry ({worst[1]}, {worst[2]})"
             )
         self.quad = quad
         self.lin = lin
         self.n, self.d = lin.shape
+        self._group_size = self.n // quad.shape[0]
         self.offsets = (
             np.zeros(self.n) if offsets is None else np.asarray(offsets, dtype=float)
         )
@@ -63,23 +90,33 @@ class QuadraticObjectives:
             raise ValueError(f"need L >= mu > 0, got L={L}, mu={mu}")
         self.L = float(L)
         self.mu = float(mu)
+        # The groups are equal, so the mean over K is the mean over nodes.
         self._mean_quad = quad.mean(axis=0)
         self._mean_lin = lin.mean(axis=0)
 
+    def _curvature(self, x):
+        """Q_i x_i for every node: (x_i'Q)' per group, Q symmetric."""
+        groups = self.quad.shape[0]
+        return (x.reshape(groups, self._group_size, self.d) @ self.quad).reshape(
+            self.n, self.d
+        )
+
     def value_block(self, i, x):
-        return float(0.5 * x @ (self.quad[i] @ x) + self.lin[i] @ x + self.offsets[i])
+        q = self.quad[i // self._group_size]
+        return float(0.5 * x @ (q @ x) + self.lin[i] @ x + self.offsets[i])
 
     def grad_block(self, i, x):
-        return self.quad[i] @ x + self.lin[i]
+        return self.quad[i // self._group_size] @ x + self.lin[i]
 
     def value(self, x):
-        qx = np.einsum("nij,nj->ni", self.quad, x)
         return float(
-            0.5 * np.vdot(x, qx) + np.vdot(self.lin, x) + self.offsets.sum()
+            0.5 * np.vdot(x, self._curvature(x))
+            + np.vdot(self.lin, x)
+            + self.offsets.sum()
         )
 
     def grad(self, x):
-        return np.einsum("nij,nj->ni", self.quad, x) + self.lin
+        return self._curvature(x) + self.lin
 
     def mean_grad(self, x):
         """Gradient of (1/n) sum_i f_i at a single point x in R^d."""

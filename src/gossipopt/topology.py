@@ -46,8 +46,8 @@ __all__ = [
     "save_gossip_csv",
 ]
 
-# Relative cutoff separating the structural zero eigenvalue from numerical
-# noise when locating lambda_min_plus.
+# Relative cutoff separating structural zero Laplacian eigenvalues from
+# numerical noise: a second eigenvalue at or below it means disconnected.
 EIGENVALUE_FLOOR = 1e-9
 
 
@@ -276,17 +276,12 @@ def laplacian(edges, n):
     return lap
 
 
-def _spectral_ratio(evals):
-    """lambda_max / lambda_min_plus of a PSD spectrum, clamped to >= 1."""
-    lam_max = evals[-1]
-    positive = evals[evals > EIGENVALUE_FLOOR * lam_max]
-    if positive.size == 0:
-        raise ValueError("matrix has no positive eigenvalue")
-    return max(float(lam_max / positive[0]), 1.0)
-
-
 def _spectrum(edges, n):
     """Laplacian of a connected graph and its ascending eigenvalues.
+
+    A Laplacian has one zero eigenvalue per connected component, so the
+    graph is connected exactly when only ``evals[0]`` is at or below the
+    floor; ``evals[1]`` is then lambda_min_plus.
 
     Raises
     ------
@@ -294,10 +289,11 @@ def _spectrum(edges, n):
         If the edge set is disconnected (the contraction axiom would fail
         for every finite chi).
     """
-    if not _is_connected(edges, n):
-        raise ValueError("gossip matrix requires a connected graph")
     lap = laplacian(edges, n)
-    return lap, np.linalg.eigvalsh(lap)
+    evals = np.linalg.eigvalsh(lap)
+    if evals[-1] <= 0 or evals[1] <= EIGENVALUE_FLOOR * evals[-1]:
+        raise ValueError("gossip matrix requires a connected graph")
+    return lap, evals
 
 
 def gossip_matrix(edges, n):
@@ -458,7 +454,7 @@ def build_mixing(schedule):
     for q in range(schedule.cycle):
         lap, evals = _spectrum(schedule.edges(q), schedule.n)
         mats.append(lap / float(evals[-1]))
-        per_round.append(_spectral_ratio(evals))
+        per_round.append(float(evals[-1] / evals[1]))
     return MixingSchedule(schedule, mats, max(per_round), tuple(per_round))
 
 

@@ -60,10 +60,21 @@ def test_node_spectra_span_mu_to_L():
 
 def test_solution_matches_dense_solve():
     inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 50)
-    total_q = inst.objectives.quad.sum(axis=0)
+    # quad holds one matrix per third: scale by the nodes sharing each
+    total_q = inst.group_size * inst.objectives.quad.sum(axis=0)
     total_c = inst.objectives.lin.sum(axis=0)
     dense = np.linalg.solve(total_q, -total_c)
     assert np.abs(dense - inst.solution()).max() <= 1e-12
+
+
+def test_large_chi_stores_one_curvature_matrix_per_third():
+    inst = hardcase.build_hard_instance(300, 1000.0, 1.0, 400)
+    obj = inst.objectives
+    assert obj.quad.nbytes == 3 * 400 * 400 * 8
+    x = np.random.default_rng(0).standard_normal((inst.n, inst.d_trunc))
+    grad = obj.grad(x)
+    for i in (0, inst.group_size, 2 * inst.group_size):
+        assert np.allclose(grad[i], obj.grad_block(i, x[i]), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("L,mu", [(11.0, 2.0), (100.0, 1.0), (50.0, 5.0)])

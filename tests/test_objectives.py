@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gossipopt import objectives
 
@@ -146,3 +148,71 @@ def test_objective_validation_errors():
         objectives.gen_synthetic_logistic(2, 3, 2, seed=0, kappa=1.0)
     with pytest.raises(ValueError, match="L > mu > 0"):
         objectives.gen_random_quadratic(2, 3, L=1.0, mu=1.0, seed=0)
+
+
+def test_quadratic_rejects_asymmetric_curvature():
+    quad = np.tile(np.eye(3), (2, 1, 1))
+    quad[1, 0, 2] += 1e-6
+    with pytest.raises(ValueError, match=r"symmetric: .*1\.000e-06 at matrix 1"):
+        objectives.QuadraticObjectives(quad, np.zeros((4, 3)))
+    # rounding-level asymmetry relative to the entries is accepted
+    quad = np.tile(1e6 * np.eye(3), (2, 1, 1))
+    quad[1, 0, 2] += 1e-9
+    objectives.QuadraticObjectives(quad, np.zeros((4, 3)), L=2e6, mu=1.0)
+
+
+def test_quadratic_rejects_group_count_not_dividing_n():
+    with pytest.raises(ValueError, match=r"\(3, 2, 2\).*\(4, 2\)"):
+        objectives.QuadraticObjectives(np.tile(np.eye(2), (3, 1, 1)), np.zeros((4, 2)))
+    with pytest.raises(ValueError, match="K=0"):
+        objectives.QuadraticObjectives(np.zeros((0, 2, 2)), np.zeros((4, 2)))
+
+
+@st.composite
+def _grouped_quadratics(draw):
+    n = draw(st.integers(1, 12))
+    groups = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((groups, d, d))
+    quad = a @ a.transpose(0, 2, 1) + np.eye(d)
+    obj = objectives.QuadraticObjectives(
+        quad, rng.standard_normal((n, d)), offsets=rng.standard_normal(n)
+    )
+    return obj, rng.standard_normal((n, d))
+
+
+@settings(max_examples=150)
+@given(_grouped_quadratics())
+@example(  # K = 1: every node shares one matrix
+    (objectives.QuadraticObjectives(np.eye(2)[None] * 3.0, np.ones((6, 2))),
+     np.arange(12.0).reshape(6, 2))
+)
+@example(  # K = n: every node owns its matrix
+    (objectives.gen_random_quadratic(5, 3, L=4.0, mu=1.0, seed=0),
+     np.arange(15.0).reshape(5, 3))
+)
+def test_grouped_apply_matches_blocks_and_per_node_reference(case):
+    obj, x = case
+    quad = np.repeat(obj.quad, obj.n // obj.quad.shape[0], axis=0)
+    # entrywise bound on the rounding of a length-d dot product
+    scale = np.einsum("nij,nj->ni", np.abs(quad), np.abs(x)) + np.abs(obj.lin)
+    reference = np.einsum("nij,nj->ni", quad, x) + obj.lin
+    blocks = np.array([obj.grad_block(i, x[i]) for i in range(obj.n)])
+    grad = obj.grad(x)
+    assert np.all(np.abs(grad - reference) <= 1e-12 * scale)
+    assert np.all(np.abs(grad - blocks) <= 1e-12 * scale)
+
+    value_scale = (
+        0.5 * np.vdot(np.abs(x), scale - np.abs(obj.lin))
+        + np.vdot(np.abs(obj.lin), np.abs(x))
+        + np.abs(obj.offsets).sum()
+    )
+    value_ref = (
+        0.5 * np.vdot(x, reference - obj.lin)
+        + np.vdot(obj.lin, x)
+        + obj.offsets.sum()
+    )
+    value_blocks = sum(obj.value_block(i, x[i]) for i in range(obj.n))
+    assert abs(obj.value(x) - value_ref) <= 1e-12 * value_scale
+    assert abs(obj.value(x) - value_blocks) <= 1e-12 * value_scale

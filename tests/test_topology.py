@@ -191,6 +191,17 @@ def test_disconnected_graph_rejected():
         topology.schedule_from_pool([((0, 1), (2, 3))], 4)
 
 
+def test_edgeless_graph_rejected():
+    # every Laplacian eigenvalue is zero, so lambda_max is too
+    with pytest.raises(ValueError, match="connected"):
+        topology.gossip_matrix((), 4)
+    sched = topology.TopologySchedule(n=4, kind="custom", pool=((),))
+    with pytest.raises(ValueError, match="connected"):
+        topology.build_mixing(sched)
+    with pytest.raises(ValueError, match="connected"):
+        topology.schedule_from_pool([()], 4)
+
+
 def test_estimate_chi_complete_graph_is_one():
     # all nonzero Laplacian eigenvalues of K_n equal n
     for n in (3, 4, 6):
