@@ -7,7 +7,7 @@ star-cycle construction whose communication floor matches the solver's
 complexity.
 """
 
-from .blockvec import consensus_gap, mix, multi_mix, project_consensus
+from .blockvec import mix, multi_mix, project_consensus
 from .experiments import ExperimentConfig, emit, run_experiment, sweep
 from .hardcase import (
     CertReport,
@@ -43,7 +43,6 @@ from .topology import (
     MixingSchedule,
     TopologySchedule,
     build_mixing,
-    gossip_matrix,
     make_schedule,
     random_geometric_schedule,
     ring_star_schedule,

@@ -3,8 +3,10 @@
 A distributed vector is an (n, d) float array: one length-d block per node,
 node-major and contiguous. The consensus subspace holds the vectors whose
 blocks are all equal; its orthogonal complement holds the vectors whose
-blocks sum to zero. Mixing a distributed vector with a gossip matrix costs
-one communication round; ``multi_mix`` chains T rounds, which tightens the
+blocks sum to zero. ``project_consensus`` projects onto that complement, so
+the squared norm of its output is the nodes' disagreement (the consensus
+gap). Mixing a distributed vector with a gossip matrix costs one
+communication round; ``multi_mix`` chains T rounds, which tightens the
 contraction on the zero-block-sum subspace from (1 - 1/chi) to
 (1 - 1/chi)**T. ``multi_mix`` is the sequential reference: the solver applies
 the T rounds as one ``mix`` with the compound operator that
@@ -19,7 +21,6 @@ __all__ = [
     "as_blocks",
     "mix",
     "project_consensus",
-    "consensus_gap",
     "multi_mix",
 ]
 
@@ -57,12 +58,6 @@ def project_consensus(v):
     """
     v = as_blocks(v)
     return v - v.mean(axis=0, keepdims=True)
-
-
-def consensus_gap(v):
-    """Squared norm of the disagreement component; zero iff all blocks equal."""
-    p = project_consensus(v)
-    return float(np.vdot(p, p))
 
 
 def multi_mix(mixing, k, T, v):

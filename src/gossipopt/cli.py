@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import experiments, hardcase, solver, topology
@@ -79,7 +79,7 @@ def _cmd_lowerbound(args):
         print("error: lowerbound needs a hard_instance problem", file=sys.stderr)
         return 1
     if args.certify:
-        config.certify = True
+        config = replace(config, certify=True)
     result = experiments.run_experiment(config, output_dir=args.output_dir)
     summary = result.summary
     print(json.dumps(summary, indent=2))

@@ -80,6 +80,10 @@ class ExperimentConfig:
             raise ValueError(f"T must be a positive integer or 'auto', got {self.T}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
+        if self.stop_metric not in solver.STOP_METRICS:
+            raise ValueError(f"unknown stop metric {self.stop_metric!r}")
+        if self.certify and self.problem.get("kind") != "hard_instance":
+            raise ValueError("certification requires a hard_instance problem")
         unknown = sorted(
             set(self.param_overrides) - {f.name for f in fields(solver.Params)}
         )
@@ -268,9 +272,6 @@ def run_experiment(config, output_dir=None, *, mixing_memo=None):
     x_bar = instance.solution() if instance is not None else None
     reference = solver.make_reference(objectives, params.nu, x_bar=x_bar)
 
-    if config.certify and instance is None:
-        raise ValueError("certification requires a hard_instance problem")
-
     result = solver.run(
         objectives,
         mixing,
@@ -293,22 +294,13 @@ def run_experiment(config, output_dir=None, *, mixing_memo=None):
         emit(result.records, config.output_format, out_path)
 
     last = result.records[-1]
-    converged = (
-        config.target_eps is not None
-        and (
-            last.err_sq_mean_block
-            if config.stop_metric == "mean_block"
-            else last.err_sq_stacked
-        )
-        <= config.target_eps
-    )
     summary = {
         "iterations": last.k,
         "comm_rounds": last.comm_rounds,
         "grad_calls": last.grad_calls,
         "final_err_sq_stacked": last.err_sq_stacked,
         "final_err_sq_mean_block": last.err_sq_mean_block,
-        "converged": converged,
+        "converged": result.converged,
         "chi_measured": chi_measured,
         "chi_used": chi_used,
         "chi_eff": chi_eff,

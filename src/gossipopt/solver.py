@@ -36,6 +36,7 @@ __all__ = [
     "RunRecord",
     "RunResult",
     "DivergenceError",
+    "STOP_METRICS",
     "derive_params",
     "effective_chi",
     "consensus_rounds",
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e100
+
+# Errors the target test can read; see the ``stop_metric`` of :func:`run`.
+STOP_METRICS = ("mean_block", "stacked")
 
 
 class DivergenceError(RuntimeError):
@@ -272,24 +276,6 @@ def saddle_state(reference):
     return init_state(n, d, x0=reference.x, y0=reference.y, z0=reference.z)
 
 
-def _mix_rounds(mixing, k, T, payloads):
-    """Mix several payloads through the same T rounds of iteration k.
-
-    The payloads are concatenated along the block dimension so each
-    simulated round is a single exchange carrying all of them; the T rounds
-    are applied as one matmul with the schedule's compound operator.
-    """
-    widths = [p.shape[1] for p in payloads]
-    stacked = np.concatenate(payloads, axis=1)
-    mixed = blockvec.mix(mixing.compound(k, T), stacked)
-    out = []
-    start = 0
-    for width in widths:
-        out.append(mixed[:, start : start + width])
-        start += width
-    return out
-
-
 def step(state, params, objectives, mixing, T=1):
     """Advance the solver by one iteration.
 
@@ -321,7 +307,13 @@ def step(state, params, objectives, mixing, T=1):
 
     s = y_g + z_g
     payload = (p.gamma / p.nu) * s + m
-    mixed_payload, mixed_s = _mix_rounds(mixing, state.k, T, [payload, s])
+    # Both payloads travel in one exchange per round: side by side along the
+    # block dimension, through the T rounds as one compound-operator matmul.
+    mixed = blockvec.mix(
+        mixing.compound(state.k, T), np.concatenate([payload, s], axis=1)
+    )
+    width = payload.shape[1]
+    mixed_payload, mixed_s = mixed[:, :width], mixed[:, width:]
 
     z_new = z + p.gamma * p.delta * (z_g - z) - mixed_payload
     m_new = payload - mixed_payload
@@ -415,10 +407,14 @@ class RunRecord:
 
 @dataclass
 class RunResult:
+    """Outcome of :func:`run`; ``converged`` is True when the error target,
+    not the budget, stopped it."""
+
     records: list
     state: State
     params: Params
     reference: SaddleReference
+    converged: bool
     trace: list | None = None
 
 
@@ -480,9 +476,10 @@ def run(
         effective condition number.
     reference : SaddleReference, optional
         Computed from the averaged objective when omitted.
-    stop_metric : {"mean_block", "stacked"}
+    stop_metric : one of STOP_METRICS
         Error used for the target test: distance of the block average to the
-        minimizer, or of the full stacked iterate to the consensus point.
+        minimizer (``"mean_block"``), or of the full stacked iterate to the
+        consensus point (``"stacked"``).
     track_lyapunov : bool
         Record the potential decomposition at every iterate.
     collect_trace : bool
@@ -492,7 +489,8 @@ def run(
     -------
     RunResult
         Records (one per visited iterate, including k = 0), final state,
-        parameters, reference, and optionally the x trace.
+        parameters, reference, whether the target stopped the run
+        (``converged``), and optionally the x trace.
 
     Raises
     ------
@@ -504,7 +502,7 @@ def run(
         raise ValueError("need a budget, a target_eps, or both")
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    if stop_metric not in ("mean_block", "stacked"):
+    if stop_metric not in STOP_METRICS:
         raise ValueError(f"unknown stop metric {stop_metric!r}")
     if params is None:
         params = derive_params(
@@ -525,9 +523,8 @@ def run(
             if stop_metric == "mean_block"
             else rec.err_sq_stacked
         )
-        if target_eps is not None and err <= target_eps:
-            break
-        if budget is not None and state.k >= budget:
+        converged = target_eps is not None and err <= target_eps
+        if converged or (budget is not None and state.k >= budget):
             break
         state = step(state, params, objectives, mixing, T=T)
         try:
@@ -539,5 +536,5 @@ def run(
             trace.append(state.x.copy())
 
     return RunResult(
-        records=records, state=state, params=params, reference=reference, trace=trace
+        records, state, params, reference, converged=converged, trace=trace
     )

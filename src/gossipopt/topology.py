@@ -1,9 +1,11 @@
 """Time-varying communication topologies and gossip matrices.
 
 A topology schedule is a deterministic map from a communication-round index
-``q`` to an edge set on ``n`` nodes. One decentralized communication round is
-simulated as a multiplication with the round's gossip matrix, built here as
-the graph Laplacian divided by its largest eigenvalue.
+``q`` to an edge set on ``n`` nodes; ``make_schedule`` builds one by kind
+name. One decentralized communication round is simulated as a multiplication
+with the round's gossip matrix: the graph Laplacian divided by its largest
+eigenvalue. ``build_mixing`` is the one place gossip matrices are built, and
+its eigendecomposition is the one check that rejects a disconnected graph.
 
 Every gossip matrix ``W`` produced by this module satisfies four axioms:
 
@@ -36,11 +38,9 @@ __all__ = [
     "ring_star_schedule",
     "star_cycle_schedule",
     "random_geometric_schedule",
-    "schedule_from_pool",
     "make_schedule",
     "star_cycle_center",
     "laplacian",
-    "gossip_matrix",
     "validate_gossip",
     "build_mixing",
     "save_gossip_csv",
@@ -49,6 +49,10 @@ __all__ = [
 # Relative cutoff separating structural zero Laplacian eigenvalues from
 # numerical noise: a second eigenvalue at or below it means disconnected.
 EIGENVALUE_FLOOR = 1e-9
+
+# validate_gossip samples the contraction axiom on this many seeded vectors.
+_CONTRACTION_SAMPLES = 50
+_CONTRACTION_SEED = 0
 
 
 class _UnionFind:
@@ -88,14 +92,6 @@ def _canonical(edges, n):
     pairs = _pairs(edges, n)
     keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
     return tuple(zip((keys // n).tolist(), (keys % n).tolist()))
-
-
-def _is_connected(edges, n):
-    uf = _UnionFind(n)
-    for i, j in edges:
-        uf.union(i, j)
-    root = uf.find(0)
-    return all(uf.find(i) == root for i in range(1, n))
 
 
 def ring_edges(n):
@@ -193,23 +189,6 @@ class TopologySchedule:
         return self.pool[q % self.cycle]
 
 
-def schedule_from_pool(pool, n, kind="custom"):
-    """Schedule cycling through an explicit list of edge sets."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not pool:
-        raise ValueError("pool must be nonempty")
-    canon = []
-    for edges in pool:
-        edges = _canonical(edges, n)
-        if not _is_connected(edges, n):
-            raise ValueError("every pooled edge set must be connected")
-        if any(i == j for i, j in edges):
-            raise ValueError("self-loops are not allowed")
-        canon.append(edges)
-    return TopologySchedule(n=n, kind=kind, pool=tuple(canon))
-
-
 def ring_star_schedule(n):
     """Alternate between the ring (even rounds) and the star at node 0."""
     return TopologySchedule(
@@ -276,38 +255,6 @@ def laplacian(edges, n):
     return lap
 
 
-def _spectrum(edges, n):
-    """Laplacian of a connected graph and its ascending eigenvalues.
-
-    A Laplacian has one zero eigenvalue per connected component, so the
-    graph is connected exactly when only ``evals[0]`` is at or below the
-    floor; ``evals[1]`` is then lambda_min_plus.
-
-    Raises
-    ------
-    ValueError
-        If the edge set is disconnected (the contraction axiom would fail
-        for every finite chi).
-    """
-    lap = laplacian(edges, n)
-    evals = np.linalg.eigvalsh(lap)
-    if evals[-1] <= 0 or evals[1] <= EIGENVALUE_FLOOR * evals[-1]:
-        raise ValueError("gossip matrix requires a connected graph")
-    return lap, evals
-
-
-def gossip_matrix(edges, n):
-    """Gossip matrix of a connected graph: Laplacian over its top eigenvalue.
-
-    The result is symmetric positive semi-definite with eigenvalues in
-    [0, 1], kernel spanned by the all-ones vector, and zero-sum rows and
-    columns, so it satisfies all four gossip axioms with chi equal to the
-    Laplacian condition number lambda_max / lambda_min_plus.
-    """
-    lap, evals = _spectrum(edges, n)
-    return lap / float(evals[-1])
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     """Per-axiom outcome of a gossip-matrix check."""
@@ -331,13 +278,14 @@ class ValidationReport:
         )
 
 
-def validate_gossip(w, edges, chi, samples=50, seed=0):
+def validate_gossip(w, edges, chi):
     """Check the four gossip axioms of a matrix against an edge set.
 
     Sparsity, kernel and range are checked entrywise at 1e-12. The
-    contraction axiom is checked on ``samples`` random zero-sum vectors and,
-    in addition, through the exact worst-case ratio obtained spectrally by
-    restricting ``(W - I)' (W - I)`` to the zero-sum subspace.
+    contraction axiom is checked on a fixed, seeded sample of random
+    zero-sum vectors and, in addition, through the exact worst-case ratio
+    obtained spectrally by restricting ``(W - I)' (W - I)`` to the zero-sum
+    subspace.
 
     Failures are reported, not raised.
     """
@@ -356,8 +304,8 @@ def validate_gossip(w, edges, chi, samples=50, seed=0):
     range_residual = float(np.abs(ones @ w).max())
 
     bound = 1.0 - 1.0 / chi
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((samples, n))
+    rng = np.random.default_rng(_CONTRACTION_SEED)
+    x = rng.standard_normal((_CONTRACTION_SAMPLES, n))
     x -= x.mean(axis=1, keepdims=True)
     diff = x @ w.T - x
     ratios = (diff**2).sum(axis=1) / (x**2).sum(axis=1)
@@ -437,9 +385,6 @@ class MixingSchedule:
             self._compound[key] = op
         return op
 
-    def edges(self, q):
-        return self.topology.edges(q)
-
 
 def build_mixing(schedule):
     """Precompute gossip matrices and chi for a schedule.
@@ -447,12 +392,23 @@ def build_mixing(schedule):
     Each position of the cycle is eigendecomposed once; its spectrum gives
     both the gossip matrix and the position's Laplacian condition number.
     For a cyclic schedule one cycle already yields the exact supremum over
-    all rounds.
+    all rounds. A Laplacian has one zero eigenvalue per connected component,
+    so a graph is connected exactly when only ``evals[0]`` is at or below
+    the floor; ``evals[1]`` is then lambda_min_plus.
+
+    Raises
+    ------
+    ValueError
+        If some edge set of the cycle is disconnected (the contraction axiom
+        would fail for every finite chi).
     """
     mats = []
     per_round = []
     for q in range(schedule.cycle):
-        lap, evals = _spectrum(schedule.edges(q), schedule.n)
+        lap = laplacian(schedule.edges(q), schedule.n)
+        evals = np.linalg.eigvalsh(lap)
+        if evals[-1] <= 0 or evals[1] <= EIGENVALUE_FLOOR * evals[-1]:
+            raise ValueError("gossip matrix requires a connected graph")
         mats.append(lap / float(evals[-1]))
         per_round.append(float(evals[-1] / evals[1]))
     return MixingSchedule(schedule, mats, max(per_round), tuple(per_round))

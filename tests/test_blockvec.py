@@ -56,15 +56,6 @@ def test_project_consensus_idempotent_and_orthogonal():
         assert abs(np.vdot(p, v - p)) <= 1e-10 * (1 + np.vdot(v, v))
 
 
-def test_consensus_gap_examples():
-    assert blockvec.consensus_gap(np.ones((4, 2))) <= 1e-12
-    assert abs(blockvec.consensus_gap(np.array([[1.0], [-1.0]])) - 2.0) < 1e-12
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal((6, 2))
-    p = blockvec.project_consensus(v)
-    assert abs(blockvec.consensus_gap(v) - blockvec.consensus_gap(p)) < 1e-10
-
-
 def test_multi_mix_with_one_round_equals_mix():
     rng = np.random.default_rng(3)
     mixing = topology.build_mixing(topology.ring_star_schedule(5))

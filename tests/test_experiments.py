@@ -154,6 +154,17 @@ def test_config_validation():
         _quadratic_config(T=True)
     with pytest.raises(ValueError, match="output format"):
         _quadratic_config(output_format="yaml")
+    # both fail at load, before any problem or mixing is built
+    logistic = {"kind": "synthetic_logistic", "n": 4, "m": 5, "d": 3, "seed": 0,
+                "kappa": 10.0}
+    with pytest.raises(ValueError, match="stop metric 'stacked_typo'"):
+        ExperimentConfig.from_dict(
+            {"problem": logistic, "stop": {"budget": 1, "metric": "stacked_typo"}}
+        )
+    with pytest.raises(ValueError, match="certification requires a hard_instance"):
+        ExperimentConfig.from_dict(
+            {"problem": logistic, "stop": {"budget": 1}, "certify": True}
+        )
     with pytest.raises(ValueError, match="unknown problem kind"):
         experiments.run_experiment(
             ExperimentConfig(problem={"kind": "nope"}, budget=1)

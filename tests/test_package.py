@@ -1,9 +1,63 @@
+import ast
+import importlib
+from pathlib import Path
+
 import pytest
 
 MODULES = ("topology", "blockvec", "objectives", "solver", "hardcase", "experiments", "cli")
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_star_import_resolves_every_exported_name(name):
     # a stale __all__ entry makes the star import raise AttributeError
     exec(f"from gossipopt.{name} import *", {})
+
+
+def _is_all_assignment(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def _referenced_names(path):
+    """Identifiers a file uses: names, attributes, imported names, and string
+    constants that are a bare identifier (``setattr(module, "name", ...)``).
+
+    Definitions (``def name``, ``class name``) and the ``__all__`` list are
+    not uses, so a name counts only where something else reaches it.
+    """
+    found = set()
+    stack = [ast.parse(path.read_text(), filename=str(path))]
+    while stack:
+        node = stack.pop()
+        if _is_all_assignment(node):
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                found.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_exported_name_has_a_caller():
+    # The package's re-exports in __init__.py are not callers.
+    package = ROOT / "src" / "gossipopt"
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += (ROOT / "bench").glob("*.py")
+    sources.append(ROOT / "tests" / "test_acceptance.py")
+    used = set().union(*(_referenced_names(p) for p in sources))
+    unused = [
+        f"{name}.{exported}"
+        for name in MODULES
+        for exported in getattr(importlib.import_module(f"gossipopt.{name}"), "__all__", ())
+        if exported not in used
+    ]
+    assert not unused, f"exported but never used outside a unit test: {unused}"

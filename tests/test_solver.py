@@ -186,7 +186,7 @@ def test_step_matches_transcription_2node_scalar():
         np.array([[[2.0]], [[3.0]]]), np.array([[1.0], [-0.5]]), L=3.0, mu=2.0
     )
     mixing = topology.build_mixing(
-        topology.schedule_from_pool([((0, 1),)], 2, kind="path")
+        topology.TopologySchedule(n=2, kind="path", pool=(((0, 1),),))
     )
     params = solver.Params(
         tau1=0.3, tau2=0.6, eta=0.8, alpha=0.9, nu=1.1, beta=0.2,
@@ -304,6 +304,17 @@ def test_run_zero_budget_returns_initial_record():
     assert len(result.records) == 1
     assert result.records[0].k == 0
     assert result.state.k == 0
+
+
+def test_run_converged_names_the_stop_that_fired():
+    obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
+    mixing = topology.build_mixing(topology.ring_star_schedule(3))
+    hit = solver.run(obj, mixing, target_eps=1e-6)
+    k = hit.records[-1].k
+    assert hit.converged and k > 0
+    # a target met on the budget's last iterate still counts
+    assert solver.run(obj, mixing, budget=k, target_eps=1e-6).converged
+    assert not solver.run(obj, mixing, budget=k - 1, target_eps=1e-6).converged
 
 
 def test_run_metering_counts_rounds_and_gradients():

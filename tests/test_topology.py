@@ -124,7 +124,7 @@ def test_laplacian_counts_duplicates_and_rejects_out_of_range_nodes():
     with pytest.raises(ValueError, match="out of range"):
         topology.laplacian([(0, 3)], 3)
     with pytest.raises(ValueError, match="out of range"):
-        topology.schedule_from_pool([[(0, 1), (1, -1)]], 3)
+        topology.laplacian([(0, 1), (1, -1)], 3)
 
 
 @pytest.mark.parametrize(
@@ -157,9 +157,13 @@ def test_make_schedule_dispatch():
     assert topology.make_schedule("star_cycle", 6).kind == "star_cycle"
 
 
+def _mixing_of(pool, n):
+    return topology.build_mixing(topology.TopologySchedule(n=n, kind="custom", pool=pool))
+
+
 def test_path2_gossip_matrix_frozen():
     # Laplacian [[1,-1],[-1,1]] has lambda_max = 2
-    w = topology.gossip_matrix(((0, 1),), 2)
+    w = _mixing_of((((0, 1),),), 2).w(0)
     assert np.allclose(w, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
 
@@ -178,43 +182,39 @@ def test_gossip_annihilates_consensus():
         topology.star_cycle_schedule(6),
         topology.random_geometric_schedule(6, 0.8, 3, 1),
     ):
+        mixing = topology.build_mixing(sched)
         for q in range(sched.cycle):
-            w = topology.gossip_matrix(sched.edges(q), 6)
+            w = mixing.w(q)
             assert np.abs(w @ np.ones(6)).max() <= 1e-12
             assert np.abs(np.ones(6) @ w).max() <= 1e-12
 
 
 def test_disconnected_graph_rejected():
+    split = ((0, 1), (2, 3))
     with pytest.raises(ValueError, match="connected"):
-        topology.gossip_matrix(((0, 1), (2, 3)), 4)
+        _mixing_of((split,), 4)
+    # at any position of the cycle, not only the first
     with pytest.raises(ValueError, match="connected"):
-        topology.schedule_from_pool([((0, 1), (2, 3))], 4)
+        _mixing_of((topology.ring_edges(4), split), 4)
 
 
 def test_edgeless_graph_rejected():
     # every Laplacian eigenvalue is zero, so lambda_max is too
     with pytest.raises(ValueError, match="connected"):
-        topology.gossip_matrix((), 4)
-    sched = topology.TopologySchedule(n=4, kind="custom", pool=((),))
-    with pytest.raises(ValueError, match="connected"):
-        topology.build_mixing(sched)
-    with pytest.raises(ValueError, match="connected"):
-        topology.schedule_from_pool([()], 4)
+        _mixing_of(((),), 4)
 
 
 def test_estimate_chi_complete_graph_is_one():
     # all nonzero Laplacian eigenvalues of K_n equal n
     for n in (3, 4, 6):
         edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-        sched = topology.schedule_from_pool([edges], n, kind="complete")
-        assert abs(topology.build_mixing(sched).chi - 1.0) <= 1e-12
+        assert abs(_mixing_of((edges,), n).chi - 1.0) <= 1e-12
 
 
 def test_estimate_chi_takes_max_over_rounds():
     k3 = ((0, 1), (0, 2), (1, 2))
     star3 = topology.star_edges(3, 0)
-    sched = topology.schedule_from_pool([k3, star3], 3, kind="alt")
-    mixing = topology.build_mixing(sched)
+    mixing = _mixing_of((k3, star3), 3)
     assert abs(mixing.chi - 3.0) < 1e-9
     assert abs(mixing.per_round[0] - 1.0) <= 1e-12
     assert abs(mixing.per_round[1] - 3.0) < 1e-9
@@ -249,7 +249,7 @@ def test_validate_gossip_passes_for_constructed_matrices():
 
 def test_validate_gossip_flags_sparsity_violation():
     edges = topology.star_edges(4, 0)
-    w = topology.gossip_matrix(edges, 4).copy()
+    w = _mixing_of((edges,), 4).w(0).copy()
     w[1, 2] = 0.3  # (1, 2) is not a star edge
     report = topology.validate_gossip(w, edges, chi=4.0)
     assert not report.sparsity_ok
@@ -270,7 +270,7 @@ def test_mixing_schedule_matrices_are_read_only():
 
 
 def test_gossip_csv_full_precision(tmp_path):
-    w = topology.gossip_matrix(topology.ring_edges(5), 5)
+    w = _mixing_of((topology.ring_edges(5),), 5).w(0)
     path = tmp_path / "w.csv"
     topology.save_gossip_csv(w, path)
     rows = [
@@ -296,8 +296,8 @@ def _connected_pools(draw):
         edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         edges += draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
-        pool.append(edges)
-    return topology.schedule_from_pool(pool, n)
+        pool.append(tuple(sorted(set(edges))))  # canonical: i < j, no repeats
+    return topology.TopologySchedule(n=n, kind="custom", pool=tuple(pool))
 
 
 @settings(max_examples=60)
@@ -305,9 +305,9 @@ def _connected_pools(draw):
 def test_build_mixing_matches_per_graph_spectra(sched):
     mixing = topology.build_mixing(sched)
     for q in range(sched.cycle):
-        w = topology.gossip_matrix(sched.edges(q), sched.n)
-        assert np.array_equal(mixing.w(q), w)
-        evals = np.linalg.eigvalsh(topology.laplacian(sched.edges(q), sched.n))
+        lap = topology.laplacian(sched.edges(q), sched.n)
+        evals = np.linalg.eigvalsh(lap)
+        assert np.array_equal(mixing.w(q), lap / evals[-1])
         lam_min_plus = evals[evals > topology.EIGENVALUE_FLOOR * evals[-1]][0]
         assert mixing.per_round[q] == max(evals[-1] / lam_min_plus, 1.0)
     assert len(mixing.per_round) == sched.cycle
