@@ -84,6 +84,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown stop metric {self.stop_metric!r}")
         if self.certify and self.problem.get("kind") != "hard_instance":
             raise ValueError("certification requires a hard_instance problem")
+        if self.certify and self.topology is not None:
+            raise ValueError(
+                "certification replays the instance's own star cycle; "
+                "drop the topology section"
+            )
         unknown = sorted(
             set(self.param_overrides) - {f.name for f in fields(solver.Params)}
         )
@@ -102,6 +107,8 @@ class ExperimentConfig:
             if unknown:
                 where = "at the top level" if section is None else f"in {section!r}"
                 raise ValueError(f"unknown config key {where}: {', '.join(unknown)}")
+        if "problem" not in obj:
+            raise ValueError("config needs a 'problem' section")
         return cls(
             problem=obj["problem"],
             topology=obj.get("topology"),
@@ -133,14 +140,18 @@ class ExperimentResult:
 def build_problem(problem):
     """Return (objectives, hard_instance_or_None) for a problem section.
 
-    A key the problem kind does not take is an error, not ignored.
+    Every key the problem kind takes is required; any other is an error.
     """
+    if "kind" not in problem:
+        raise ValueError("problem section needs a 'kind'")
     kind = problem["kind"]
     if kind not in _PROBLEM_KEYS:
         raise ValueError(f"unknown problem kind {kind!r}")
-    unknown = sorted(set(problem) - _PROBLEM_KEYS[kind] - {"kind"})
-    if unknown:
-        raise ValueError(f"unknown key for a {kind} problem: {', '.join(unknown)}")
+    given, keys = set(problem) - {"kind"}, _PROBLEM_KEYS[kind]
+    for word, names in (("unknown", given - keys), ("missing", keys - given)):
+        if names:
+            names = ", ".join(sorted(names))
+            raise ValueError(f"{word} key for a {kind} problem: {names}")
     if kind == "synthetic_logistic":
         obj = gen_synthetic_logistic(
             problem["n"],
@@ -168,6 +179,9 @@ def build_problem(problem):
 def _build_schedule(config, instance):
     if config.topology is not None:
         opts = dict(config.topology)
+        missing = sorted({"kind", "n"} - set(opts))
+        if missing:
+            raise ValueError(f"topology section needs {' and '.join(missing)}")
         kind = opts.pop("kind")
         n = opts.pop("n")
         return topology.make_schedule(kind, n, **opts)

@@ -167,7 +167,8 @@ class SpanTracker:
 
     :meth:`after_compute` and :meth:`after_communicate` apply one round each
     and are the reference; :meth:`after_iteration` applies a computation and
-    T communication rounds at once in closed form.
+    T communication rounds at once in closed form, reusing
+    :meth:`after_compute` and the schedule's ``star_cycle_center``.
     """
 
     s: tuple
@@ -186,25 +187,18 @@ class SpanTracker:
 
     def after_compute(self):
         g = self.group_size
-        new = []
-        for i, si in enumerate(self.s):
-            if i < g:
-                new.append(si + (1 - si % 2))
-            elif i < 2 * g:
-                new.append(si)
-            else:
-                new.append(si + si % 2)
-        return SpanTracker(s=tuple(new), q=self.q, n=self.n)
+        s = np.array(self.s)
+        s[:g] += 1 - s[:g] % 2
+        s[2 * g :] += s[2 * g :] % 2
+        return SpanTracker(s=tuple(s.tolist()), q=self.q, n=self.n)
 
     def after_communicate(self):
+        s = np.array(self.s)
         center = star_cycle_center(self.n, self.q)
-        center_old = self.s[center]
-        peak = max(self.s)
-        new = tuple(
-            peak if i == center else max(si, center_old)
-            for i, si in enumerate(self.s)
-        )
-        return SpanTracker(s=new, q=self.q + 1, n=self.n)
+        peak = s.max()
+        s = np.maximum(s, s[center])
+        s[center] = peak
+        return SpanTracker(s=tuple(s.tolist()), q=self.q + 1, n=self.n)
 
     def after_iteration(self, T):
         """One local computation followed by T communication rounds.
@@ -220,15 +214,12 @@ class SpanTracker:
         """
         if T < 1:
             raise ValueError(f"T must be >= 1, got {T}")
-        g = self.group_size
-        s = np.array(self.s)
-        s[:g] += 1 - s[:g] % 2
-        s[2 * g :] += s[2 * g :] % 2
+        s = np.array(self.after_compute().s)
         peak = s.max()
-        if T > g:
+        if T > self.group_size:
             s[:] = peak
         else:
-            centers = g + (self.q + np.arange(T)) % g
+            centers = star_cycle_center(self.n, self.q + np.arange(T))
             s = np.maximum(s, s[centers].max())
             s[centers] = peak
         return SpanTracker(s=tuple(s.tolist()), q=self.q + T, n=self.n)
@@ -237,17 +228,14 @@ class SpanTracker:
 def span_ceiling(tracker):
     """Per-node ceiling on s_i after q completed communication rounds.
 
-    Equals 2 floor(q / (n/3)) plus one extra unit, except for last-group
-    nodes and the middle nodes the center cycle has not yet revisited.
+    Equals 2 floor(q / (n/3)), plus one for the nodes below the next star
+    center: the first group and the middle nodes the center cycle has
+    already passed. The next center lies in the middle third, so the
+    last group never gets the extra unit.
     """
-    g = tracker.group_size
-    base = 2 * (tracker.q // g)
-    next_center = star_cycle_center(tracker.n, tracker.q)
-    out = []
-    for i in range(tracker.n):
-        exempt = i >= 2 * g or next_center <= i < 2 * g
-        out.append(base + (0 if exempt else 1))
-    return tuple(out)
+    base = 2 * (tracker.q // tracker.group_size)
+    below = np.arange(tracker.n) < star_cycle_center(tracker.n, tracker.q)
+    return tuple((base + below).tolist())
 
 
 @dataclass(frozen=True)

@@ -192,28 +192,10 @@ class State:
     z_f: np.ndarray
 
 
-def init_state(n, d, x0=None, y0=None, z0=None, m0=None):
-    """Initial state; defaults to all zeros, which places z in the
-    zero-block-sum subspace as required."""
-
-    def _field(v):
-        if v is None:
-            return np.zeros((n, d))
-        v = blockvec.as_blocks(v)
-        if v.shape != (n, d):
-            raise ValueError(f"expected shape {(n, d)}, got {v.shape}")
-        return v.copy()
-
-    x = _field(x0)
-    y = _field(y0)
-    z = _field(z0)
-    m = _field(m0)
-    block_sum = float(np.linalg.norm(z.sum(axis=0)))
-    if block_sum > 1e-8 * (1.0 + float(np.linalg.norm(z))):
-        raise ValueError(
-            f"z0 must lie in the zero-block-sum subspace; block sum norm "
-            f"{block_sum:.3e}"
-        )
+def init_state(n, d):
+    """All-zero initial state, which places z in the zero-block-sum
+    subspace as required."""
+    x, y, z, m = (np.zeros((n, d)) for _ in range(4))
     return State(k=0, x=x, y=y, z=z, m=m, x_f=x.copy(), y_f=y.copy(), z_f=z.copy())
 
 
@@ -272,8 +254,9 @@ def make_reference(objectives, nu, x_bar=None, tol=1e-12):
 
 def saddle_state(reference):
     """State sitting exactly at the saddle point, with zero momentum buffer."""
-    n, d = reference.x.shape
-    return init_state(n, d, x0=reference.x, y0=reference.y, z0=reference.z)
+    x, y, z = reference.x.copy(), reference.y.copy(), reference.z.copy()
+    m = np.zeros_like(x)
+    return State(k=0, x=x, y=y, z=z, m=m, x_f=x.copy(), y_f=y.copy(), z_f=z.copy())
 
 
 def step(state, params, objectives, mixing, T=1):

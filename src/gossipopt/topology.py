@@ -55,24 +55,6 @@ _CONTRACTION_SAMPLES = 50
 _CONTRACTION_SEED = 0
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
-            return True
-        return False
-
-
 def _pairs(edges, n):
     """Edge list as an (m, 2) integer array; every endpoint must be in [0, n)."""
     if not isinstance(edges, np.ndarray):
@@ -119,7 +101,9 @@ def random_geometric_edges(n, radius, seed, index):
     connected. If the threshold graph is disconnected, it is bridged along
     the index path: the lowest-index node ``m > 0`` of each component is
     joined to its predecessor by the edge ``(m - 1, m)``, the minimum number
-    of edges that connects it.
+    of edges that connects it. Component minima are found by labelling
+    every node with the smallest index it can reach, iterated to a fixed
+    point on the threshold matrix.
 
     Parameters
     ----------
@@ -147,14 +131,19 @@ def random_geometric_edges(n, radius, seed, index):
 
     diffs = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt((diffs**2).sum(axis=2))
-    rows, cols = np.nonzero(np.triu(dist < radius, 1))
+    adjacent = dist < radius
+    rows, cols = np.nonzero(np.triu(adjacent, 1))
 
-    uf = _UnionFind(n)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        uf.union(i, j)
-    bridged = np.array([i for i in range(n - 1) if uf.union(i, i + 1)], dtype=int)
-    rows = np.concatenate([rows, bridged])
-    cols = np.concatenate([cols, bridged + 1])
+    # Min-label fixed point: each pass gives a node the least label among
+    # itself and its neighbours, then that label's own label.
+    label, lower = None, np.arange(n)
+    while not np.array_equal(lower, label):
+        label = lower
+        lower = np.where(adjacent, label, n).min(axis=1)
+        lower = lower[lower]
+    minima = np.flatnonzero(label == np.arange(n))[1:]
+    rows = np.concatenate([rows, minima - 1])
+    cols = np.concatenate([cols, minima])
     return _canonical(np.column_stack([rows, cols]), n)
 
 
@@ -230,7 +219,7 @@ _SCHEDULE_BUILDERS = {
 def make_schedule(kind, n, **params):
     """Build a schedule by kind name; see the individual constructors.
 
-    A parameter the kind does not take is an error, not ignored.
+    Every parameter the kind takes is required; any other is an error.
     """
     try:
         builder, keys = _SCHEDULE_BUILDERS[kind]
@@ -239,9 +228,11 @@ def make_schedule(kind, n, **params):
             f"unknown schedule kind {kind!r}; expected one of "
             f"{sorted(_SCHEDULE_BUILDERS)}"
         ) from None
-    unknown = sorted(set(params) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown key for a {kind} topology: {', '.join(unknown)}")
+    given, keys = set(params), set(keys)
+    for word, names in (("unknown", given - keys), ("missing", keys - given)):
+        if names:
+            names = ", ".join(sorted(names))
+            raise ValueError(f"{word} key for a {kind} topology: {names}")
     return builder(n, **params)
 
 
@@ -249,10 +240,9 @@ def laplacian(edges, n):
     """Combinatorial graph Laplacian (degree matrix minus adjacency)."""
     pairs = _pairs(edges, n)
     i, j = pairs[:, 0], pairs[:, 1]
-    lap = np.diag(np.bincount(pairs.ravel(), minlength=n).astype(float))
-    np.subtract.at(lap, (i, j), 1.0)
-    np.subtract.at(lap, (j, i), 1.0)
-    return lap
+    adjacency = np.bincount(np.concatenate([i * n + j, j * n + i]), minlength=n * n)
+    degree = np.bincount(pairs.ravel(), minlength=n)
+    return (np.diag(degree) - adjacency.reshape(n, n)).astype(float)
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,24 @@ def test_certify_multi_consensus_run():
     assert s["comm_rounds"] == 7 * s["iterations"]
 
 
+@pytest.mark.parametrize(
+    "topology",
+    [
+        {"kind": "ring_star", "n": 9},
+        {"kind": "random_geometric", "n": 9, "radius": 0.6, "pool_size": 3, "seed": 0},
+    ],
+    ids=["ring_star", "random_geometric"],
+)
+def test_certify_rejects_a_topology_section(topology):
+    # the certificate replays the instance's own star cycle, which a run on
+    # another network does not follow
+    with pytest.raises(ValueError, match="drop the topology section"):
+        _hard_config(topology=topology, certify=True)
+    result = experiments.run_experiment(_hard_config(topology=topology, budget=5))
+    assert result.summary["iterations"] == 5
+    assert "certified" not in result.summary
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="budget"):
         ExperimentConfig(problem={"kind": "random_quadratic"})
@@ -240,6 +258,34 @@ def test_topology_n_must_match_problem_n(monkeypatch):
     cfg = _quadratic_config(topology={"kind": "ring_star", "n": 5})
     with pytest.raises(ValueError, match="n=5.*n=4"):
         experiments.run_experiment(cfg)
+
+
+_UNSEEDED = {"kind": "random_quadratic", "n": 4, "d": 3, "L": 10.0, "mu": 1.0}
+_QUADRATIC = {**_UNSEEDED, "seed": 0}
+_RING_STAR = {"kind": "ring_star", "n": 4}
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"topology": _RING_STAR}, "config needs a 'problem' section"),
+        ({"problem": {"n": 4}, "topology": _RING_STAR},
+         "problem section needs a 'kind'"),
+        ({"problem": _UNSEEDED, "topology": _RING_STAR},
+         "missing key for a random_quadratic problem: seed"),
+        ({"problem": _QUADRATIC,
+          "topology": {"kind": "random_geometric", "n": 4, "radius": 0.5}},
+         "missing key for a random_geometric topology: pool_size, seed"),
+        ({"problem": _QUADRATIC, "topology": {"n": 4}}, "topology section needs kind"),
+        ({"problem": _QUADRATIC, "topology": {"kind": "ring_star"}},
+         "topology section needs n"),
+    ],
+    ids=["problem", "kind", "seed", "pool_size_seed", "topology_kind", "topology_n"],
+)
+def test_missing_config_section_or_key_is_named(tmp_path, capsys, config, named):
+    path = _write_config(tmp_path, {**config, "stop": {"budget": 1}})
+    assert cli.main(["run", path]) == 1
+    assert f"error: {named}" in capsys.readouterr().err
 
 
 def test_sweep_singleton_matches_run():

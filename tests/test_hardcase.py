@@ -139,6 +139,26 @@ def test_span_ceiling_under_random_interleavings(chi):
             assert all(s <= b for s, b in zip(tracker.s, bound))
 
 
+def _span_ceiling_by_loop(n, q):
+    # reference: the per-node rule, exempting the last group and the middle
+    # nodes from the next center on
+    g = n // 3
+    base = 2 * (q // g)
+    next_center = g + q % g
+    return tuple(
+        base + (0 if i >= 2 * g or next_center <= i < 2 * g else 1)
+        for i in range(n)
+    )
+
+
+@given(st.integers(1, 20), st.integers(0, 300))
+def test_span_ceiling_matches_per_node_rule(g, q):
+    n = 3 * g
+    bound = hardcase.span_ceiling(hardcase.SpanTracker(s=(0,) * n, q=q, n=n))
+    assert bound == _span_ceiling_by_loop(n, q)
+    assert all(type(v) is int for v in bound)
+
+
 @st.composite
 def _tracker_and_rounds(draw):
     g = draw(st.integers(1, 12))

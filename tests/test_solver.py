@@ -351,10 +351,3 @@ def test_divergence_guard_reports_iteration():
     last = err.value.last_record
     assert last.k == err.value.k - 1
     assert math.isfinite(last.err_sq_stacked)
-
-
-def test_init_state_validation():
-    with pytest.raises(ValueError, match="zero-block-sum"):
-        solver.init_state(3, 2, z0=np.ones((3, 2)))
-    with pytest.raises(ValueError, match="expected shape"):
-        solver.init_state(3, 2, x0=np.ones((2, 2)))

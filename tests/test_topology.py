@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gossipopt import blockvec, topology
@@ -107,6 +107,10 @@ def _laplacian_by_loops(edges, n):
     st.integers(0, 2**16),
     st.integers(0, 100),
 )
+# every node its own component: 19 bridges
+@example(n=20, radius=0.01, seed=0, index=0)
+# 8 components of sizes 1, 1, 2, 3, 4, 6, 7 and 16: 7 bridges
+@example(n=40, radius=0.15, seed=0, index=0)
 def test_random_geometric_edges_match_loop_reference(n, radius, seed, index):
     edges = topology.random_geometric_edges(n, radius, seed, index)
     assert edges == _random_geometric_by_loops(n, radius, seed, index)
