@@ -13,9 +13,9 @@ record stream.
 from __future__ import annotations
 
 import json
-import os
+import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from . import hardcase, solver, topology
@@ -25,7 +25,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "CSV_HEADER",
-    "OUTPUT_DIR_ENV",
     "build_problem",
     "emit",
     "run_experiment",
@@ -33,16 +32,19 @@ __all__ = [
 ]
 
 CSV_HEADER = "k,comm_rounds,grad_calls,err_sq_stacked,err_sq_mean_block,psi_x,psi_yz"
-OUTPUT_DIR_ENV = "GOSSIPOPT_OUTPUT_DIR"
 
 _RECORD_FIELDS = CSV_HEADER.split(",")
 
-# Keys accepted in a config document, per section (None is the top level).
-_CONFIG_KEYS = {
-    None: {"problem", "topology", "chi", "algorithm", "stop", "output", "certify"},
-    "algorithm": {"T", "param_overrides"},
-    "stop": {"budget", "target_eps", "metric"},
-    "output": {"path", "format", "record_lyapunov"},
+# Each key of a nested config section and the field it sets; every other
+# field of ExperimentConfig is a top-level key of the same name.
+_SECTIONS = {
+    "algorithm": {"T": "T", "param_overrides": "param_overrides"},
+    "stop": {"budget": "budget", "target_eps": "target_eps", "metric": "stop_metric"},
+    "output": {
+        "path": "output_path",
+        "format": "output_format",
+        "record_lyapunov": "record_lyapunov",
+    },
 }
 
 
@@ -52,6 +54,25 @@ _PROBLEM_KEYS = {
     "random_quadratic": {"n", "d", "L", "mu", "seed"},
     "hard_instance": {"chi", "L", "mu", "d_trunc"},
 }
+
+# Problem and topology keys that count nodes, samples, dimensions or draws.
+_INTEGER_KEYS = {"n", "m", "d", "seed", "pool_size", "d_trunc"}
+
+
+def _check_numbers(name, section):
+    """Reject a section that is not an object of numbers besides its kind."""
+    if not isinstance(section, dict):
+        raise ValueError(
+            f"config section {name!r} must be a JSON object, got {section!r}"
+        )
+    for key, value in section.items():
+        if key == "kind":
+            continue
+        integer = key in _INTEGER_KEYS
+        wanted = numbers.Integral if integer else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, wanted):
+            what = "an integer" if integer else "a number"
+            raise ValueError(f"{name} key {key!r} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -72,6 +93,10 @@ class ExperimentConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
+        _check_numbers("problem", self.problem)
+        _check_numbers("param_overrides", self.param_overrides)
+        if self.topology is not None:
+            _check_numbers("topology", self.topology)
         if self.budget is None and self.target_eps is None:
             raise ValueError("config needs a budget, a target_eps, or both")
         if self.T != "auto" and (
@@ -97,32 +122,29 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj):
-        """Build a config from its JSON layout; unknown keys are errors."""
-        algorithm = obj.get("algorithm", {})
-        stop = obj.get("stop", {})
-        output = obj.get("output", {})
-        for section, known in _CONFIG_KEYS.items():
-            keys = obj if section is None else obj.get(section, {})
-            unknown = sorted(set(keys) - known)
+        """Build a config from its JSON layout (see ``_SECTIONS``).
+
+        Unknown keys and sections that are not JSON objects are errors; a
+        key left out takes the field's default.
+        """
+        nested = {name for keys in _SECTIONS.values() for name in keys.values()}
+        top = {f.name: f.name for f in fields(cls) if f.name not in nested}
+        values = {}
+        for section, keys in ((None, top), *_SECTIONS.items()):
+            part = obj if section is None else obj.get(section, {})
+            if not isinstance(part, dict):
+                where = f"config section {section!r}" if section else "the config"
+                raise ValueError(f"{where} must be a JSON object, got {part!r}")
+            known = keys.keys() | (_SECTIONS.keys() if section is None else set())
+            unknown = sorted(set(part) - known)
             if unknown:
                 where = "at the top level" if section is None else f"in {section!r}"
                 raise ValueError(f"unknown config key {where}: {', '.join(unknown)}")
-        if "problem" not in obj:
-            raise ValueError("config needs a 'problem' section")
-        return cls(
-            problem=obj["problem"],
-            topology=obj.get("topology"),
-            chi=obj.get("chi"),
-            T=algorithm.get("T", 1),
-            param_overrides=algorithm.get("param_overrides", {}),
-            budget=stop.get("budget"),
-            target_eps=stop.get("target_eps"),
-            stop_metric=stop.get("metric", "mean_block"),
-            record_lyapunov=output.get("record_lyapunov", True),
-            certify=obj.get("certify", False),
-            output_path=output.get("path"),
-            output_format=output.get("format", "csv"),
-        )
+            values.update((keys[k], v) for k, v in part.items() if k in keys)
+        for f in fields(cls):
+            if f.name not in values and f.default is f.default_factory is MISSING:
+                raise ValueError(f"config needs a {f.name!r} section")
+        return cls(**values)
 
     @classmethod
     def from_json_file(cls, path):
@@ -141,39 +163,26 @@ def build_problem(problem):
     """Return (objectives, hard_instance_or_None) for a problem section.
 
     Every key the problem kind takes is required; any other is an error.
+    The keys besides ``kind`` are the builder's keyword arguments.
     """
-    if "kind" not in problem:
+    params = dict(problem)
+    if "kind" not in params:
         raise ValueError("problem section needs a 'kind'")
-    kind = problem["kind"]
+    kind = params.pop("kind")
     if kind not in _PROBLEM_KEYS:
         raise ValueError(f"unknown problem kind {kind!r}")
-    given, keys = set(problem) - {"kind"}, _PROBLEM_KEYS[kind]
+    given, keys = set(params), _PROBLEM_KEYS[kind]
     for word, names in (("unknown", given - keys), ("missing", keys - given)):
         if names:
             names = ", ".join(sorted(names))
             raise ValueError(f"{word} key for a {kind} problem: {names}")
-    if kind == "synthetic_logistic":
-        obj = gen_synthetic_logistic(
-            problem["n"],
-            problem["m"],
-            problem["d"],
-            problem["seed"],
-            problem["kappa"],
-        )
-        return obj, None
-    if kind == "random_quadratic":
-        obj = gen_random_quadratic(
-            problem["n"],
-            problem["d"],
-            problem["L"],
-            problem["mu"],
-            problem["seed"],
-        )
-        return obj, None
-    instance = hardcase.build_hard_instance(
-        problem["chi"], problem["L"], problem["mu"], problem["d_trunc"]
+    if kind == "hard_instance":
+        instance = hardcase.build_hard_instance(**params)
+        return instance.objectives, instance
+    gen = (
+        gen_synthetic_logistic if kind == "synthetic_logistic" else gen_random_quadratic
     )
-    return instance.objectives, instance
+    return gen(**params), None
 
 
 def _build_schedule(config, instance):
@@ -193,9 +202,8 @@ def _build_schedule(config, instance):
 def _resolve_output_path(config, output_dir):
     if config.output_path is None:
         return None
-    base = output_dir or os.environ.get(OUTPUT_DIR_ENV)
-    if base:
-        return str(Path(base) / Path(config.output_path).name)
+    if output_dir:
+        return str(Path(output_dir) / Path(config.output_path).name)
     return config.output_path
 
 

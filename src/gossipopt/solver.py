@@ -77,8 +77,9 @@ class DivergenceError(RuntimeError):
 class Params:
     """Step sizes and interpolation weights of the solver.
 
-    All fields are determined in closed form by (L, mu, chi); see
-    :func:`derive_params`. Invariants: nu < mu, and tau1, sigma1 in (0, 1).
+    All fields are determined in closed form by (L, mu, chi), which are not
+    stored; see :func:`derive_params`. Invariants: nu < mu, and tau1, sigma1
+    in (0, 1).
     """
 
     tau1: float
@@ -93,7 +94,6 @@ class Params:
     gamma: float
     delta: float
     zeta: float
-    chi: float
 
     def override(self, **values):
         """Replace selected fields; every override must stay positive.
@@ -149,7 +149,6 @@ def derive_params(L, mu, chi):
         gamma=gamma,
         delta=delta,
         zeta=zeta,
-        chi=chi,
     )
 
 

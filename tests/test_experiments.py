@@ -1,7 +1,10 @@
 import json
 import math
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gossipopt import cli, experiments
 from gossipopt.experiments import CSV_HEADER, ExperimentConfig
@@ -63,14 +66,6 @@ def test_run_experiment_is_byte_deterministic(tmp_path):
     a = (tmp_path / "a" / "run.csv").read_bytes()
     b = (tmp_path / "b" / "run.csv").read_bytes()
     assert a == b
-
-
-def test_output_dir_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv(experiments.OUTPUT_DIR_ENV, str(tmp_path))
-    cfg = _quadratic_config(budget=2, output_path="env.csv")
-    result = experiments.run_experiment(cfg)
-    assert (tmp_path / "env.csv").exists()
-    assert result.summary["output_path"] == str(tmp_path / "env.csv")
 
 
 def test_declared_chi_validated_against_measured():
@@ -215,6 +210,67 @@ def test_config_from_dict_nested_layout():
     assert cfg.certify is True
 
 
+# Where each config field sits in a config document: (section, key), with
+# None for the top level. Written out by hand as the reference layout.
+_LAYOUT = {
+    "problem": (None, "problem"),
+    "topology": (None, "topology"),
+    "chi": (None, "chi"),
+    "T": ("algorithm", "T"),
+    "param_overrides": ("algorithm", "param_overrides"),
+    "budget": ("stop", "budget"),
+    "target_eps": ("stop", "target_eps"),
+    "stop_metric": ("stop", "metric"),
+    "record_lyapunov": ("output", "record_lyapunov"),
+    "certify": (None, "certify"),
+    "output_path": ("output", "path"),
+    "output_format": ("output", "format"),
+}
+
+_FIELD_VALUES = {
+    "problem": st.sampled_from([
+        {"kind": "hard_instance", "chi": 9.0, "L": 16.0, "mu": 1.0, "d_trunc": 40},
+        {"kind": "random_quadratic", "n": 4, "d": 3, "L": 10.0, "mu": 1.0, "seed": 0},
+    ]),
+    "topology": st.none() | st.just({"kind": "ring_star", "n": 4}),
+    "chi": st.none() | st.floats(1.0, 100.0),
+    "T": st.integers(1, 9) | st.just("auto"),
+    "param_overrides": st.sampled_from([{}, {"zeta": 0.4}]),
+    "budget": st.none() | st.integers(0, 100),
+    "target_eps": st.none() | st.floats(1e-12, 1.0),
+    "stop_metric": st.sampled_from(["mean_block", "stacked"]),
+    "record_lyapunov": st.booleans(),
+    "certify": st.booleans(),
+    "output_path": st.none() | st.just("out.csv"),
+    "output_format": st.sampled_from(["csv", "json"]),
+}
+
+
+@given(
+    flat=st.fixed_dictionaries({}, optional=_FIELD_VALUES),
+    extra=st.sampled_from([None, "algorithm", "stop", "output"]),
+)
+def test_from_dict_sets_each_field_from_its_place_in_the_layout(flat, extra):
+    doc = {}
+    for name, value in flat.items():
+        section, key = _LAYOUT[name]
+        (doc if section is None else doc.setdefault(section, {}))[key] = value
+    if "problem" not in flat:
+        with pytest.raises(ValueError, match="config needs a 'problem' section"):
+            ExperimentConfig.from_dict(doc)
+    else:
+        try:
+            expected = ExperimentConfig(**flat)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                ExperimentConfig.from_dict(doc)
+        else:
+            assert ExperimentConfig.from_dict(doc) == expected
+    (doc if extra is None else doc.setdefault(extra, {}))["extra_key"] = 1
+    with pytest.raises(ValueError, match="unknown config key.*extra_key"):
+        ExperimentConfig.from_dict(doc)
+
+
 @pytest.mark.parametrize(
     "section, key",
     [(None, "stopp"), ("algorithm", "typo_key"), ("stop", "budgett"), ("output", "fmt")],
@@ -284,6 +340,33 @@ _RING_STAR = {"kind": "ring_star", "n": 4}
 )
 def test_missing_config_section_or_key_is_named(tmp_path, capsys, config, named):
     path = _write_config(tmp_path, {**config, "stop": {"budget": 1}})
+    assert cli.main(["run", path]) == 1
+    assert f"error: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"topology": "ring_star"},
+         "config section 'topology' must be a JSON object, got 'ring_star'"),
+        ({"stop": "2"}, "config section 'stop' must be a JSON object, got '2'"),
+        ({"algorithm": {"param_overrides": ["nu"]}},
+         "config section 'param_overrides' must be a JSON object, got ['nu']"),
+        ({"problem": {**_QUADRATIC, "n": "4"}},
+         "problem key 'n' must be an integer, got '4'"),
+        ({"problem": {**_QUADRATIC, "n": 4.0}},
+         "problem key 'n' must be an integer, got 4.0"),
+        ({"problem": {**_QUADRATIC, "seed": True}},
+         "problem key 'seed' must be an integer, got True"),
+        ({"algorithm": {"param_overrides": {"chi": 1.0}}},
+         "unknown parameter override: chi"),
+    ],
+    ids=["topology_str", "stop_str", "overrides_list", "n_str", "n_float",
+         "seed_bool", "chi_override"],
+)
+def test_wrongly_typed_config_is_named_at_load(tmp_path, capsys, change, named):
+    config = {"problem": _QUADRATIC, "topology": _RING_STAR, "stop": {"budget": 1}}
+    path = _write_config(tmp_path, {**config, **change})
     assert cli.main(["run", path]) == 1
     assert f"error: {named}" in capsys.readouterr().err
 

@@ -191,7 +191,7 @@ def test_step_matches_transcription_2node_scalar():
     params = solver.Params(
         tau1=0.3, tau2=0.6, eta=0.8, alpha=0.9, nu=1.1, beta=0.2,
         sigma1=0.25, sigma2=0.05, theta=2.5, gamma=0.7, delta=0.04,
-        zeta=0.5, chi=1.0,
+        zeta=0.5,
     )
     state = _random_state(2, 1, seed=3)
     got = solver.step(state, params, obj, mixing)
@@ -282,16 +282,16 @@ def test_error_extraction_inequality(small_run):
 
 
 def test_lyapunov_decreases_at_theoretical_rate(small_run):
-    obj, _, params, _, result = small_run
-    rate = 1 - math.sqrt(obj.mu) / (32 * params.chi * math.sqrt(obj.L))
+    obj, mixing, params, _, result = small_run
+    rate = 1 - math.sqrt(obj.mu) / (32 * mixing.chi * math.sqrt(obj.L))
     psis = [r.psi_x + r.psi_yz for r in result.records]
     for k in range(len(psis) - 1):
         assert psis[k + 1] <= psis[k] * rate + 1e-12 * psis[0]
 
 
 def test_convergence_envelope(small_run):
-    obj, _, params, _, result = small_run
-    rate = 1 - math.sqrt(obj.mu) / (32 * params.chi * math.sqrt(obj.L))
+    obj, mixing, params, _, result = small_run
+    rate = 1 - math.sqrt(obj.mu) / (32 * mixing.chi * math.sqrt(obj.L))
     psi0 = result.records[0].psi_x + result.records[0].psi_yz
     for rec in result.records:
         assert rec.err_sq_stacked <= params.eta * psi0 * rate**rec.k * (1 + 1e-9)

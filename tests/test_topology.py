@@ -251,6 +251,26 @@ def test_validate_gossip_passes_for_constructed_matrices():
         assert report.spectral_worst_ratio <= 1.0 - 1.0 / mixing.chi + 1e-12
 
 
+def test_validate_gossip_contraction_is_exact_for_nonsymmetric_matrices():
+    # W = P0 + s B is non-symmetric with exact kernel and range; s puts its
+    # exact worst zero-sum ratio just below, then 0.1% above, the chi = 4
+    # bound, where random zero-sum samples rarely reach the worst direction
+    n = 4
+    p0 = np.eye(n) - 1.0 / n
+    b = p0 @ np.random.default_rng(1).standard_normal((n, n)) @ p0
+    basis = np.linalg.svd(p0)[0][:, : n - 1]  # orthonormal zero-sum basis
+    top = np.linalg.svd(b @ basis, compute_uv=False)[0]
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for factor in (0.999, 1.001):
+        w = p0 + math.sqrt(factor * 0.75) / top * b
+        assert not np.allclose(w, w.T)
+        report = topology.validate_gossip(w, edges, chi=4.0)
+        assert report.sparsity_ok and report.kernel_ok and report.range_ok
+        assert report.contraction_ok == (factor < 1)
+        exact = np.linalg.svd((w - np.eye(n)) @ basis, compute_uv=False)[0] ** 2
+        assert math.isclose(report.spectral_worst_ratio, exact, rel_tol=1e-12)
+
+
 def test_validate_gossip_flags_sparsity_violation():
     edges = topology.star_edges(4, 0)
     w = _mixing_of((edges,), 4).w(0).copy()
