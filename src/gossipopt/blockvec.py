@@ -57,7 +57,7 @@ def project_consensus(v):
     Subtracts the block mean from every block; idempotent.
     """
     v = as_blocks(v)
-    return v - v.mean(axis=0, keepdims=True)
+    return v - v.sum(axis=0) / len(v)
 
 
 def multi_mix(mixing, k, T, v):

@@ -59,6 +59,10 @@ _PROBLEM_KEYS = {
 _INTEGER_KEYS = {"n", "m", "d", "seed", "pool_size", "d_trunc"}
 
 
+def _is_number(value, kind=numbers.Real):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _check_numbers(name, section):
     """Reject a section that is not an object of numbers besides its kind."""
     if not isinstance(section, dict):
@@ -69,8 +73,7 @@ def _check_numbers(name, section):
         if key == "kind":
             continue
         integer = key in _INTEGER_KEYS
-        wanted = numbers.Integral if integer else numbers.Real
-        if isinstance(value, bool) or not isinstance(value, wanted):
+        if not _is_number(value, numbers.Integral if integer else numbers.Real):
             what = "an integer" if integer else "a number"
             raise ValueError(f"{name} key {key!r} must be {what}, got {value!r}")
 
@@ -99,10 +102,27 @@ class ExperimentConfig:
             _check_numbers("topology", self.topology)
         if self.budget is None and self.target_eps is None:
             raise ValueError("config needs a budget, a target_eps, or both")
-        if self.T != "auto" and (
-            isinstance(self.T, bool) or not isinstance(self.T, int) or self.T < 1
+        # Each check names the key as the config document spells it. A
+        # target <= 0 with no budget would never stop.
+        T, budget, eps, chi = self.T, self.budget, self.target_eps, self.chi
+        for key, value, ok, what in (
+            ("T", T, T == "auto" or _is_number(T, int) and T >= 1,
+             "a positive integer or 'auto'"),
+            ("budget", budget,
+             budget is None or _is_number(budget, numbers.Integral) and budget >= 0,
+             "an integer >= 0"),
+            ("target_eps", eps, eps is None or _is_number(eps) and eps > 0,
+             "a number > 0"),
+            ("chi", chi, chi is None or _is_number(chi) and chi >= 1, "a number >= 1"),
+            ("record_lyapunov", self.record_lyapunov,
+             isinstance(self.record_lyapunov, bool), "true or false"),
+            ("certify", self.certify, isinstance(self.certify, bool), "true or false"),
+            ("output path", self.output_path,
+             self.output_path is None or isinstance(self.output_path, str),
+             "a string or null"),
         ):
-            raise ValueError(f"T must be a positive integer or 'auto', got {self.T}")
+            if not ok:
+                raise ValueError(f"{key} must be {what}, got {value!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.stop_metric not in solver.STOP_METRICS:

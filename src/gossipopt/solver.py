@@ -9,6 +9,13 @@ round: the two payloads that must travel over the network are mixed by the
 same per-round gossip matrices, with an error-feedback buffer m absorbing
 what a single imperfect averaging round leaves behind.
 
+The seven iterates x, y, z, m, x_f, y_f and z_f are the rows of one
+(7, n, d) buffer. The update rules are linear in those rows, the gradient
+and the two mixed payloads, so each ``Params`` derives their coefficients
+once, by running the rules on unit vectors. An iteration is then three small
+coefficient products around one gradient call and one ``mix``, and three
+in-place corrections.
+
 With the closed-form parameter schedule of :func:`derive_params`, the
 potential tracked by :func:`lyapunov` contracts by at least
 ``1 - sqrt(mu) / (32 chi sqrt(L))`` per iteration, which yields
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -109,6 +117,36 @@ class Params:
                 raise ValueError(f"override {name}={value} must be below 1")
         return replace(self, **values)
 
+    @cached_property
+    def _linear_map(self):
+        """One iteration as coefficients, read off :func:`_rules`.
+
+        The rules run once on the unit vectors of their ten inputs: the seven
+        state rows, the raw gradient and the two mixed payloads. What they
+        hand to the gradient oracle and to the mixer, and what they return,
+        are then rows of coefficients over those inputs: ``gather`` (7,)
+        gives x_g, ``send`` (2, 7) the payloads [payload, s], ``update``
+        (7, 8) the new rows from the old rows and the gradient, and
+        ``corrections`` the (row, payload, coefficient) terms the mixed
+        payloads add.
+        """
+        unit = np.eye(10)
+        seen = {}
+
+        def grad(x_g):
+            seen["gather"] = x_g[:7]
+            return unit[7]
+
+        def mix(payload, s):
+            seen["send"] = np.array([payload[:7], s[:7]])
+            return unit[8], unit[9]
+
+        update = np.array(_rules(self, *unit[:7], grad, mix))
+        corrections = tuple(
+            (row, j, c) for (row, j), c in np.ndenumerate(update[:, 8:]) if c
+        )
+        return seen["gather"], seen["send"], update[:, :8], corrections
+
 
 def derive_params(L, mu, chi):
     """Theoretical parameter schedule for constants (L, mu, chi).
@@ -177,25 +215,45 @@ def consensus_rounds(chi):
     return max(1, math.ceil(chi * math.log(2.0)))
 
 
-@dataclass
-class State:
-    """Full solver state after k iterations."""
+class _Row:
+    """One named row of the state buffer: reading gives a view of the row,
+    assigning copies into it."""
 
-    k: int
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    m: np.ndarray
-    x_f: np.ndarray
-    y_f: np.ndarray
-    z_f: np.ndarray
+    def __init__(self, index):
+        self.index = index
+
+    def __get__(self, state, owner=None):
+        return self if state is None else state._buf[self.index]
+
+    def __set__(self, state, value):
+        state._buf[self.index] = value
+
+
+class State:
+    """Full solver state after k iterations.
+
+    The fields x, y, z, m, x_f, y_f and z_f are, in that order, the rows of
+    one (7, n, d) buffer. Construction copies the seven arrays into it.
+    """
+
+    x, y, z, m, x_f, y_f, z_f = (_Row(i) for i in range(7))
+
+    def __init__(self, k, x, y, z, m, x_f, y_f, z_f):
+        self.k = k
+        self._buf = np.array([x, y, z, m, x_f, y_f, z_f], dtype=float)
+
+
+def _wrap(k, buf):
+    """State at iteration k that owns ``buf`` as its row buffer, uncopied."""
+    state = State.__new__(State)
+    state.k, state._buf = k, buf
+    return state
 
 
 def init_state(n, d):
     """All-zero initial state, which places z in the zero-block-sum
     subspace as required."""
-    x, y, z, m = (np.zeros((n, d)) for _ in range(4))
-    return State(k=0, x=x, y=y, z=z, m=m, x_f=x.copy(), y_f=y.copy(), z_f=z.copy())
+    return _wrap(0, np.zeros((7, n, d)))
 
 
 @dataclass(frozen=True)
@@ -214,7 +272,12 @@ class SaddleReference:
     nu: float
     f_star: float
     grad_star: np.ndarray
-    yz: np.ndarray
+
+    @cached_property
+    def _xyz(self):
+        """x, y and z stacked: the saddle values of the state rows x, y, z
+        and of x_f, y_f, z_f."""
+        return np.array([self.x, self.y, self.z])
 
 
 def make_reference(objectives, nu, x_bar=None, tol=1e-12):
@@ -247,34 +310,31 @@ def make_reference(objectives, nu, x_bar=None, tol=1e-12):
         nu=float(nu),
         f_star=objectives.value(x),
         grad_star=grad_star,
-        yz=y + z,
     )
 
 
 def saddle_state(reference):
     """State sitting exactly at the saddle point, with zero momentum buffer."""
-    x, y, z = reference.x.copy(), reference.y.copy(), reference.z.copy()
-    m = np.zeros_like(x)
-    return State(k=0, x=x, y=y, z=z, m=m, x_f=x.copy(), y_f=y.copy(), z_f=z.copy())
+    xyz = reference._xyz
+    return _wrap(0, np.concatenate((xyz, np.zeros_like(xyz[:1]), xyz)))
 
 
-def step(state, params, objectives, mixing, T=1):
-    """Advance the solver by one iteration.
+def _rules(p, x, y, z, m, x_f, y_f, z_f, grad, mix):
+    """The update rules: the seven new rows from the seven old ones.
 
-    Exactly one full-gradient evaluation and T communication rounds (each
-    carrying both network payloads). The mutually implicit x/y updates are
-    eliminated in closed form: with g the shifted gradient at the
-    extrapolated point, substituting the x-update into the y-update leaves a
-    scalar-coefficient linear equation for y, solvable blockwise.
+    ``grad(x_g)`` is the gradient oracle and ``mix(payload, s)`` returns the
+    two payloads after the T communication rounds. The mutually implicit
+    x/y updates are eliminated in closed form: with g the shifted gradient
+    at the extrapolated point, substituting the x-update into the y-update
+    leaves a scalar-coefficient linear equation for y, solvable blockwise.
+    Every rule is linear in the rows, the gradient and the mixed payloads,
+    which is what lets ``Params._linear_map`` run them on unit vectors.
     """
-    p = params
-    x, y, z, m = state.x, state.y, state.z, state.m
+    x_g = p.tau1 * x + (1.0 - p.tau1) * x_f
+    y_g = p.sigma1 * y + (1.0 - p.sigma1) * y_f
+    z_g = p.sigma1 * z + (1.0 - p.sigma1) * z_f
 
-    x_g = p.tau1 * x + (1.0 - p.tau1) * state.x_f
-    y_g = p.sigma1 * y + (1.0 - p.sigma1) * state.y_f
-    z_g = p.sigma1 * z + (1.0 - p.sigma1) * state.z_f
-
-    g = objectives.grad(x_g) - p.nu * x_g
+    g = grad(x_g) - p.nu * x_g
 
     b = p.eta / (1.0 + p.eta * p.alpha)
     a = (x + p.eta * p.alpha * x_g - p.eta * g) / (1.0 + p.eta * p.alpha)
@@ -284,33 +344,45 @@ def step(state, params, objectives, mixing, T=1):
     ) / denom
     x_new = a + b * y_new
 
-    x_f_new = x_g + p.tau2 * (x_new - x)
-    y_f_new = y_g + p.sigma2 * (y_new - y)
-
     s = y_g + z_g
     payload = (p.gamma / p.nu) * s + m
-    # Both payloads travel in one exchange per round: side by side along the
-    # block dimension, through the T rounds as one compound-operator matmul.
-    mixed = blockvec.mix(
-        mixing.compound(state.k, T), np.concatenate([payload, s], axis=1)
-    )
-    width = payload.shape[1]
-    mixed_payload, mixed_s = mixed[:, :width], mixed[:, width:]
+    mixed_payload, mixed_s = mix(payload, s)
 
-    z_new = z + p.gamma * p.delta * (z_g - z) - mixed_payload
-    m_new = payload - mixed_payload
-    z_f_new = z_g - p.zeta * mixed_s
-
-    return State(
-        k=state.k + 1,
-        x=x_new,
-        y=y_new,
-        z=z_new,
-        m=m_new,
-        x_f=x_f_new,
-        y_f=y_f_new,
-        z_f=z_f_new,
+    return (
+        x_new,
+        y_new,
+        z + p.gamma * p.delta * (z_g - z) - mixed_payload,
+        payload - mixed_payload,
+        x_g + p.tau2 * (x_new - x),
+        y_g + p.sigma2 * (y_new - y),
+        z_g - p.zeta * mixed_s,
     )
+
+
+def step(state, params, objectives, mixing, T=1):
+    """Advance the solver by one iteration; the input state is not modified.
+
+    Exactly one full-gradient evaluation and T communication rounds (each
+    carrying both network payloads). The iteration applies the coefficient
+    matrices of ``params`` (see :func:`_rules`) to the (7, n, d) row buffer:
+    one row product forms the extrapolated point for the gradient, one
+    (2, 7) product the two payloads, which travel side by side along the
+    block dimension through the T rounds as one compound-operator ``mix``,
+    and one (7, 8) product the new buffer from the old rows and the
+    gradient, which three in-place corrections complete with the mixed
+    payloads.
+    """
+    gather, send, update, corrections = params._linear_map
+    _, n, d = state._buf.shape
+    rows = state._buf.reshape(7, -1)
+    grad = objectives.grad((gather @ rows).reshape(n, d))
+    new = (update @ np.concatenate((rows, grad.reshape(1, -1)))).reshape(7, n, d)
+    del grad  # few live temporaries: they set a step's peak memory
+    sent = (send @ rows).reshape(2, n, d).transpose(1, 0, 2).reshape(n, 2 * d)
+    mixed = blockvec.mix(mixing.compound(state.k, T), sent).reshape(n, 2, d)
+    for row, j, c in corrections:
+        new[row] += c * mixed[:, j]
+    return _wrap(state.k + 1, new)
 
 
 @dataclass(frozen=True)
@@ -336,27 +408,41 @@ def _sqnorm(v):
 
 
 def lyapunov(state, params, objectives, reference):
-    """Evaluate the potential certifying per-iteration geometric decay."""
+    """Evaluate the potential certifying per-iteration geometric decay.
+
+    The state rows minus their stacked saddle values (zero for m) hold
+    every distance the potential measures once three rows are combined in
+    place; one reduction then takes the seven squared norms.
+    """
     p = params
     ref = reference
 
-    dx = state.x - ref.x
+    buf = state._buf
+    diff = np.empty_like(buf)
+    np.subtract(buf[:3], ref._xyz, out=diff[:3])
+    np.subtract(buf[4:], ref._xyz, out=diff[4:])
+    diff[3] = blockvec.project_consensus(buf[3])  # the buffer's zero-sum part
+    diff[2] -= diff[3]  # z_hat = z - that part
+    diff[6] += diff[5]  # y_f + z_f
+    flat = diff.reshape(7, -1)
+    sq_x, sq_y, sq_zhat, sq_m, sq_xf, sq_yf, sq_coupled = np.einsum(
+        "ri,ri->r", flat, flat
+    ).tolist()
+
     d_f = (
         objectives.value(state.x_f)
         - ref.f_star
-        - float(np.vdot(ref.grad_star, state.x_f - ref.x))
+        - float(np.vdot(ref.grad_star, diff[4]))
     )
-    x_dist = (1.0 / p.eta + p.alpha) * _sqnorm(dx)
-    x_bregman = (2.0 / p.tau2) * (d_f - 0.5 * p.nu * _sqnorm(state.x_f - ref.x))
+    x_dist = (1.0 / p.eta + p.alpha) * sq_x
+    x_bregman = (2.0 / p.tau2) * (d_f - 0.5 * p.nu * sq_xf)
     psi_x = x_dist + x_bregman
 
-    m_proj_vec = blockvec.project_consensus(state.m)
-    z_hat = state.z - m_proj_vec
-    y_dist = (1.0 / p.theta + 0.5 * p.beta) * _sqnorm(state.y - ref.y)
-    yf_dist = (0.5 * p.beta / p.sigma2) * _sqnorm(state.y_f - ref.y)
-    zhat_dist = (1.0 / p.gamma) * _sqnorm(z_hat - ref.z)
-    m_proj = (4.0 / (3.0 * p.gamma)) * _sqnorm(m_proj_vec)
-    coupled = (1.0 / (p.nu * p.sigma2)) * _sqnorm(state.y_f + state.z_f - ref.yz)
+    y_dist = (1.0 / p.theta + 0.5 * p.beta) * sq_y
+    yf_dist = (0.5 * p.beta / p.sigma2) * sq_yf
+    zhat_dist = (1.0 / p.gamma) * sq_zhat
+    m_proj = (4.0 / (3.0 * p.gamma)) * sq_m
+    coupled = (1.0 / (p.nu * p.sigma2)) * sq_coupled
     psi_yz = y_dist + yf_dist + zhat_dist + m_proj + coupled
 
     return LyapunovReport(
@@ -401,18 +487,21 @@ class RunResult:
 
 
 def _guard(state):
-    for field in (state.x, state.y, state.z, state.m):
-        peak = float(np.abs(field).max(initial=0.0))
-        if not np.isfinite(peak) or peak > DIVERGENCE_LIMIT:
-            name = next(n for n in "xyzm" if getattr(state, n) is field)
+    """Raise on the first of x, y, z, m with a coordinate that is not finite
+    or exceeds the limit; one reduction over the four rows when none does."""
+    head = state._buf[:4]
+    if np.abs(head).max(initial=0.0) <= DIVERGENCE_LIMIT:
+        return
+    for name, row in zip("xyzm", head):
+        peak = float(np.abs(row).max(initial=0.0))
+        if not peak <= DIVERGENCE_LIMIT:
             raise DivergenceError(state.k, peak, name)
 
 
 def _record(state, params, objectives, reference, T, track_lyapunov):
-    dx = state.x - reference.x
-    err_stacked = _sqnorm(dx)
-    mean_block = state.x.mean(axis=0)
-    err_mean = _sqnorm(mean_block - reference.x_bar)
+    x = state.x
+    err_stacked = _sqnorm(x - reference.x)
+    err_mean = _sqnorm(x.sum(axis=0) / len(x) - reference.x_bar)
     if track_lyapunov:
         report = lyapunov(state, params, objectives, reference)
         psi_x, psi_yz = report.psi_x, report.psi_yz

@@ -192,6 +192,36 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("stop", "budget", True),
+        ("stop", "budget", 10.5),
+        ("stop", "budget", "10"),
+        ("stop", "budget", -1),
+        ("stop", "target_eps", 0),
+        ("stop", "target_eps", -1e-9),
+        ("stop", "target_eps", "1e-9"),
+        (None, "chi", "8"),
+        (None, "chi", 0.5),
+        (None, "chi", True),
+        ("output", "record_lyapunov", "false"),
+        (None, "certify", 1),
+        ("output", "path", 3),
+    ],
+)
+def test_config_rejects_mistyped_values_at_load(section, key, value):
+    doc = {
+        "problem": {"kind": "random_quadratic", "n": 4, "d": 3, "L": 10.0,
+                    "mu": 1.0, "seed": 0},
+        "topology": {"kind": "ring_star", "n": 4},
+        "stop": {"budget": 1},
+    }
+    (doc if section is None else doc.setdefault(section, {}))[key] = value
+    with pytest.raises(ValueError, match=rf"{key} must be .*, got {re.escape(repr(value))}$"):
+        ExperimentConfig.from_dict(doc)
+
+
 def test_config_from_dict_nested_layout():
     cfg = ExperimentConfig.from_dict(
         {

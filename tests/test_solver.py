@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -351,3 +352,150 @@ def test_divergence_guard_reports_iteration():
     last = err.value.last_record
     assert last.k == err.value.k - 1
     assert math.isfinite(last.err_sq_stacked)
+
+
+# --- The fused iteration against the per-field rules -----------------------
+
+_FIELDS = ("x", "y", "z", "m", "x_f", "y_f", "z_f")
+_OVERRIDABLE = sorted(f.name for f in dataclasses.fields(solver.Params))
+
+
+def _reference_lyapunov(state, p, obj, ref):
+    """The potential's components, one squared norm per field difference."""
+    def sq(v):
+        return float(np.vdot(v, v))
+
+    d_f = (
+        obj.value(state.x_f)
+        - ref.f_star
+        - float(np.vdot(ref.grad_star, state.x_f - ref.x))
+    )
+    m_proj_vec = blockvec.project_consensus(state.m)
+    return {
+        "x_dist": (1.0 / p.eta + p.alpha) * sq(state.x - ref.x),
+        "x_bregman": (2.0 / p.tau2) * (d_f - 0.5 * p.nu * sq(state.x_f - ref.x)),
+        "y_dist": (1.0 / p.theta + 0.5 * p.beta) * sq(state.y - ref.y),
+        "yf_dist": (0.5 * p.beta / p.sigma2) * sq(state.y_f - ref.y),
+        "zhat_dist": (1.0 / p.gamma) * sq(state.z - m_proj_vec - ref.z),
+        "m_proj": (4.0 / (3.0 * p.gamma)) * sq(m_proj_vec),
+        "coupled": (1.0 / (p.nu * p.sigma2))
+        * sq(state.y_f + state.z_f - (ref.y + ref.z)),
+    }
+
+
+@st.composite
+def _fused_cases(draw):
+    """A problem, a schedule, drawn parameters (maybe overridden), a state
+    and T, on the ring/star and the star-cycle topologies."""
+    n = draw(st.sampled_from([3, 6, 9]))
+    d = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["ring_star", "star_cycle"]))
+    schedule = (
+        topology.ring_star_schedule(n) if kind == "ring_star"
+        else topology.star_cycle_schedule(n)
+    )
+    mu = draw(st.floats(0.1, 10.0))
+    L = mu * draw(st.floats(1.01, 1000.0))
+    params = solver.derive_params(L, mu, draw(st.floats(1.0, 100.0)))
+    overrides = draw(
+        st.dictionaries(st.sampled_from(_OVERRIDABLE), st.floats(0.01, 0.99), max_size=3)
+    )
+    if overrides:
+        params = params.override(**overrides)
+    obj = objectives.gen_random_quadratic(n, d, L=10.0, mu=1.0, seed=draw(st.integers(0, 99)))
+    state = _random_state(n, d, seed=draw(st.integers(0, 2**32 - 1)),
+                          k=draw(st.integers(0, 20)))
+    return obj, topology.build_mixing(schedule), params, state, draw(st.integers(1, 3))
+
+
+@given(case=_fused_cases())
+@settings(max_examples=60)
+def test_step_matches_transcription_on_random_params_and_states(case):
+    obj, mixing, params, state, T = case
+    got = solver.step(state, params, obj, mixing, T=T)
+    want = _transcribed_step(state, params, obj, mixing, T=T)
+    assert got.k == want.k
+    scale = max(np.abs(getattr(want, name)).max() for name in _FIELDS)
+    for name in _FIELDS:
+        err = np.abs(getattr(got, name) - getattr(want, name)).max()
+        assert err <= 1e-11 * scale, name
+
+
+@given(case=_fused_cases())
+@settings(max_examples=30)
+def test_step_leaves_its_input_unchanged(case):
+    obj, mixing, params, state, T = case
+    before = {name: getattr(state, name).copy() for name in _FIELDS}
+    new = solver.step(state, params, obj, mixing, T=T)
+    assert state.k == new.k - 1
+    for name in _FIELDS:
+        assert np.array_equal(getattr(state, name), before[name]), name
+        assert not np.shares_memory(getattr(state, name), getattr(new, name)), name
+
+
+@given(case=_fused_cases(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_lyapunov_components_match_the_per_field_formula(case, seed):
+    obj, _, params, _, _ = case
+    ref = solver.make_reference(obj, params.nu, tol=1e-13)
+    state = _random_state(obj.n, obj.d, seed=seed)
+    report = solver.lyapunov(state, params, obj, ref)
+    want = _reference_lyapunov(state, params, obj, ref)
+    assert report.components.keys() == want.keys()
+    for name, value in want.items():
+        assert abs(report.components[name] - value) <= 1e-12 * abs(value), name
+    assert report.psi_x == report.components["x_dist"] + report.components["x_bregman"]
+
+
+@given(
+    first=st.sampled_from("xyzm"),
+    second=st.none() | st.sampled_from("xyzm"),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf, 1e101, -1e101]),
+    k=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_guard_names_the_first_bad_field(first, second, bad, k, seed):
+    state = _random_state(4, 3, seed=seed, k=k)
+    solver._guard(state)
+    rng = np.random.default_rng(seed)
+    for name in {first, second} - {None}:
+        getattr(state, name)[rng.integers(4), rng.integers(3)] = bad
+    expected = min({first, second} - {None}, key="xyzm".index)
+    with pytest.raises(solver.DivergenceError) as err:
+        solver._guard(state)
+    assert err.value.field == expected
+    assert err.value.k == k
+    assert math.isnan(err.value.magnitude) or err.value.magnitude >= 1e101
+
+
+# --- The names the benchmark tracer wraps ----------------------------------
+
+
+def test_run_calls_the_traced_names_once_per_iteration(monkeypatch):
+    obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
+    mixing = topology.build_mixing(topology.ring_star_schedule(3))
+    # Building a compound operator mixes the identity; build them beforehand.
+    for k in range(mixing.cycle):
+        mixing.compound(k, 2)
+    for track in (True, False):
+        calls = {"step": 0, "lyapunov": 0, "mix": 0}
+        for owner, name in ((solver, "step"), (solver, "lyapunov"), (blockvec, "mix")):
+            def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        result = solver.run(obj, mixing, T=2, budget=5, track_lyapunov=track)
+        monkeypatch.undo()
+        assert len(result.records) == 6
+        assert calls == {"step": 5, "lyapunov": 6 if track else 0, "mix": 5}
+
+
+def test_trace_holds_copies_of_x():
+    obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
+    mixing = topology.build_mixing(topology.ring_star_schedule(3))
+    result = solver.run(obj, mixing, budget=5, collect_trace=True)
+    assert len(result.trace) == 6
+    for x in result.trace:
+        assert x.shape == (3, 2)
+        assert not np.shares_memory(x, result.state._buf)
+    assert np.array_equal(result.trace[-1], result.state.x)
