@@ -6,11 +6,13 @@ blocks are all equal; its orthogonal complement holds the vectors whose
 blocks sum to zero. ``project_consensus`` projects onto that complement, so
 the squared norm of its output is the nodes' disagreement (the consensus
 gap). Mixing a distributed vector with a gossip matrix costs one
-communication round; ``multi_mix`` chains T rounds, which tightens the
+communication round; ``multi_mix`` applies T rounds, which tightens the
 contraction on the zero-block-sum subspace from (1 - 1/chi) to
-(1 - 1/chi)**T. ``multi_mix`` is the sequential reference: the solver applies
-the T rounds as one ``mix`` with the compound operator that
-``MixingSchedule.compound`` builds by running ``multi_mix`` on the identity.
+(1 - 1/chi)**T. The rounds repeat with the schedule's cycle, so
+``multi_mix`` multiplies out one cycle and raises it to a power instead of
+running the rounds one by one: about cycle + 2 log2(T / cycle) matrix
+products rather than T. ``MixingSchedule.compound`` runs it on the identity
+to build the T-round operator that the solver applies as one ``mix``.
 """
 
 from __future__ import annotations
@@ -63,18 +65,37 @@ def project_consensus(v):
 def multi_mix(mixing, k, T, v):
     """Apply the T-round compound gossip operator of iteration k.
 
-    Computes ``v - prod_{q=kT}^{(k+1)T-1} (I - W(q)) v`` by T sequential
-    single-round mixes. Costs T communication rounds. For zero-block-sum v
-    the result satisfies ``||out - v||^2 <= (1 - 1/chi)**T ||v||^2``.
+    Computes ``v - prod_{q=kT}^{(k+1)T-1} (I - W(q)) v``. Costs T
+    communication rounds. For zero-block-sum v the result satisfies
+    ``||out - v||^2 <= (1 - 1/chi)**T ||v||^2``.
 
-    This is the reference oracle for ``MixingSchedule.compound``, which
-    builds the compound matrix by applying it to the identity.
+    With T = whole * cycle + rest, every whole cycle that starts at round
+    kT (mod cycle) has the same product B of its rounds' ``I - W(q)``. B is
+    multiplied out once, ``B**whole`` is applied to v by binary powering,
+    and the ``rest`` leftover rounds follow one by one: at most
+    ``cycle + rest + 2 * whole.bit_length()`` matrix products.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     v = as_blocks(v)
-    # In place, so building a compound operator holds three n x n arrays.
+    whole, rest = divmod(T, mixing.cycle)
+    start = k * T
+    # The products write into preallocated buffers and swap them, so
+    # building a compound operator holds five n x n arrays.
     r = v.copy()
-    for q in range(k * T, (k + 1) * T):
-        r -= mix(mixing.w(q), r)
+    spare = np.empty_like(r)
+    if whole:
+        b = np.eye(len(r))
+        b_spare = np.empty_like(b)
+        for q in range(start, start + mixing.cycle):
+            b -= np.matmul(mixing.w(q), b, out=b_spare)
+        while True:
+            if whole & 1:
+                r, spare = np.matmul(b, r, out=spare), r
+            whole >>= 1
+            if not whole:
+                break
+            b, b_spare = np.matmul(b, b, out=b_spare), b
+    for q in range(start, start + rest):
+        r -= np.matmul(mixing.w(q), r, out=spare)
     return np.subtract(v, r, out=r)

@@ -58,6 +58,10 @@ __all__ = [
 
 DIVERGENCE_LIMIT = 1e100
 
+# make_reference accepts a reference point x_bar when the averaged gradient
+# there is at most this times 1 + ||x_bar||.
+REFERENCE_TOL = 1e-8
+
 # Errors the target test can read; see the ``stop_metric`` of :func:`run`.
 STOP_METRICS = ("mean_block", "stacked")
 
@@ -296,10 +300,10 @@ def make_reference(objectives, nu, x_bar=None, tol=1e-12):
     raw = -nu * x - y
     residual = float(np.linalg.norm(raw.mean(axis=0)))
     scale = 1.0 + float(np.linalg.norm(x_bar))
-    if residual > 1e-8 * scale:
+    if residual > REFERENCE_TOL * scale:
         raise ValueError(
             f"reference point is not accurate enough: averaged gradient norm "
-            f"{residual:.3e} exceeds 1e-8 * {scale:.3e}"
+            f"{residual:.3e} exceeds {REFERENCE_TOL:g} * {scale:.3e}"
         )
     z = blockvec.project_consensus(raw)
     return SaddleReference(

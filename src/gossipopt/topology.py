@@ -348,6 +348,9 @@ class MixingSchedule:
         ``multi_mix`` to the identity and cached under the key
         ``(kT mod cycle, T)``: at most ``cycle / gcd(T, cycle)`` n x n
         matrices per T used, never more than the per-round matrices held.
+        Each build multiplies out one cycle of rounds and raises it to the
+        power ``T // cycle``, so it costs about ``cycle + T % cycle +
+        2 log2(T / cycle)`` n x n products, not T.
         """
         if T == 1:
             return self.w(k)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipopt import hardcase, objectives, solver, topology
+from gossipopt import experiments, hardcase, objectives, solver, topology
 
 
 def test_rho_closed_form_frozen():
@@ -18,11 +18,11 @@ def test_rho_closed_form_frozen():
 
 
 def test_build_partitions_and_centers():
-    inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 20)
+    inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
     assert inst.n == 9
     assert inst.group_size == 3
     # chi = 10 still gives n = 9: the construction rounds down to thirds
-    assert hardcase.build_hard_instance(10.0, 16.0, 1.0, 20).n == 9
+    assert hardcase.build_hard_instance(10.0, 16.0, 1.0, 30).n == 9
 
 
 def test_build_validation():
@@ -34,16 +34,45 @@ def test_build_validation():
         hardcase.build_hard_instance(9.0, 16.0, 1.0, 3)
 
 
+@pytest.mark.parametrize("L,d_trunc,smallest", [(1000.0, 200, 255), (1e4, 400, 834)])
+def test_build_rejects_truncation_too_short(L, d_trunc, smallest):
+    problem = {"kind": "hard_instance", "chi": 9.0, "L": L, "mu": 1.0, "d_trunc": d_trunc}
+    with pytest.raises(ValueError, match=f"need d_trunc >= {smallest}$"):
+        experiments.build_problem(problem)
+    # the named length is the smallest whose closed form passes the check
+    with pytest.raises(ValueError, match="too short"):
+        hardcase.build_hard_instance(9.0, L, 1.0, smallest - 1)
+    inst = hardcase.build_hard_instance(9.0, L, 1.0, smallest)
+    solver.make_reference(inst.objectives, 0.5, x_bar=inst.solution())
+
+
+@settings(max_examples=40)
+@given(st.floats(1.5, 1e3), st.floats(0.1, 10.0))
+def test_smallest_truncation_passes_make_reference(ratio, mu):
+    L = ratio * mu
+    d = hardcase._min_d_trunc(L, mu)
+    inst = hardcase.build_hard_instance(3.0, L, mu, d)
+    solver.make_reference(inst.objectives, 0.5 * mu, x_bar=inst.solution())
+    if d > 4:
+        with pytest.raises(ValueError, match="too short"):
+            hardcase.build_hard_instance(3.0, L, mu, d - 1)
+
+
+def test_hard_certify_setup_still_builds():
+    inst = hardcase.build_hard_instance(30.0, 100.0, 1.0, 120)
+    solver.make_reference(inst.objectives, 0.5, x_bar=inst.solution())
+
+
 def test_star_rounds_stay_within_chi():
-    inst = hardcase.build_hard_instance(10.0, 16.0, 1.0, 20)
+    inst = hardcase.build_hard_instance(10.0, 16.0, 1.0, 30)
     chi = topology.build_mixing(inst.schedule).chi
     assert chi <= inst.chi + 1e-9
     assert abs(chi - inst.n) < 1e-9
 
 
 def test_middle_group_gradient_is_pure_regularizer():
-    inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 12)
-    x = np.linspace(-1, 1, 12)
+    inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
+    x = np.linspace(-1, 1, 30)
     for i in range(3, 6):
         assert np.allclose(inst.objectives.grad_block(i, x), inst.mu * x, atol=1e-14)
 

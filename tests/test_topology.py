@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gossipopt import blockvec, topology
@@ -338,17 +338,33 @@ def test_build_mixing_matches_per_graph_spectra(sched):
     assert mixing.chi == max(mixing.per_round)
 
 
+_PATH5 = ((0, 1), (1, 2), (2, 3), (3, 4))
+
+
+def _per_round_mix(mixing, k, T, v):
+    # reference: the T rounds of iteration k one at a time
+    r = v.copy()
+    for q in range(k * T, (k + 1) * T):
+        r -= mixing.w(q) @ r
+    return v - r
+
+
 @settings(max_examples=60)
-@given(_connected_pools(), st.integers(1, 40), st.data())
-def test_compound_matches_sequential_multi_mix(sched, T, data):
+@given(_connected_pools(), st.integers(0, 6), st.data())
+def test_compound_matches_sequential_multi_mix(sched, whole, data):
     mixing = topology.build_mixing(sched)
     cycle = sched.cycle
+    # T is whole cycles plus rest leftover rounds
+    T = whole * cycle + data.draw(st.integers(0, cycle - 1))
+    assume(T >= 1)
     k = data.draw(st.integers(0, 3 * cycle))
     seed = data.draw(st.integers(0, 2**32 - 1))
     v = np.random.default_rng(seed).standard_normal((sched.n, 3))
     op = mixing.compound(k, T)
-    want = blockvec.multi_mix(mixing, k, T, v)
-    assert np.linalg.norm(blockvec.mix(op, v) - want) <= 1e-12 * np.linalg.norm(v)
+    want = _per_round_mix(mixing, k, T, v)
+    tol = 1e-12 * np.linalg.norm(v)
+    assert np.linalg.norm(blockvec.multi_mix(mixing, k, T, v) - want) <= tol
+    assert np.linalg.norm(blockvec.mix(op, v) - want) <= tol
     assert mixing.compound(k, 1) is mixing.w(k)
     assert mixing.compound(k + cycle // math.gcd(T, cycle), T) is op
     assert not op.flags.writeable
@@ -357,3 +373,44 @@ def test_compound_matches_sequential_multi_mix(sched, T, data):
     diff = blockvec.mix(op, u) - u
     bound = (1.0 - 1.0 / mixing.chi) ** T
     assert np.vdot(diff, diff) <= (bound + 1e-12) * np.vdot(u, u)
+
+
+@pytest.mark.parametrize(
+    "sched, T",
+    [
+        (topology.ring_star_schedule(7), 1),  # no whole cycle
+        (topology.ring_star_schedule(7), 2),  # one cycle, no rest
+        (topology.ring_star_schedule(7), 3),  # one cycle and a rest
+        (topology.ring_star_schedule(7), 12),  # even power, no rest
+        (topology.star_cycle_schedule(9), 23),  # odd power and a rest
+        (topology.TopologySchedule(n=5, kind="custom", pool=(_PATH5,)), 9),
+    ],
+    ids=["whole0", "whole1", "whole1_rest", "whole6", "whole7_rest2", "cycle1"],
+)
+def test_multi_mix_matches_per_round_mixes(sched, T):
+    mixing = topology.build_mixing(sched)
+    rng = np.random.default_rng(T)
+    for k in range(2 * sched.cycle):
+        v = rng.standard_normal((sched.n, 3))
+        want = _per_round_mix(mixing, k, T, v)
+        got = blockvec.multi_mix(mixing, k, T, v)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_compound_build_product_count(monkeypatch):
+    mixing = topology.build_mixing(topology.ring_star_schedule(100))
+    T = 703
+    whole, rest = divmod(T, mixing.cycle)
+    products = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        products.append(1)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    op = mixing.compound(1, T)
+    monkeypatch.undo()
+    assert 0 < len(products) <= mixing.cycle + rest + 2 * whole.bit_length()
+    want = _per_round_mix(mixing, 1, T, np.eye(100))
+    assert np.linalg.norm(op - want) <= 1e-12 * np.linalg.norm(np.eye(100))
