@@ -2,11 +2,13 @@
 
 Each of the n nodes owns one smooth, strongly convex function on R^d. Two
 families are provided: l2-regularized logistic losses over per-node data,
-and quadratics whose curvature matrices are shared by equal, contiguous
-groups of nodes (down to one node per group). Both expose full gradients
-blockwise and stacked. A centralized accelerated solver produces
-high-accuracy minimizers of the averaged objective for use as test
-references.
+stored once with each label folded into its feature row, and quadratics
+whose curvature matrices are shared by equal, contiguous groups of nodes
+(down to one node per group). Both evaluate all n nodes at once with
+batched matmuls: ``grad`` and ``value`` take stacked (n, d) points, and
+``mean_grad`` takes one point in R^d. A centralized accelerated solver
+produces high-accuracy minimizers of the averaged objective for use as
+test references.
 """
 
 from __future__ import annotations
@@ -82,6 +84,11 @@ class QuadraticObjectives:
         self.offsets = (
             np.zeros(self.n) if offsets is None else np.asarray(offsets, dtype=float)
         )
+        if self.offsets.shape != (self.n,):
+            raise ValueError(
+                f"offsets shape {self.offsets.shape} disagrees with lin shape "
+                f"{lin.shape}: need one offset per node, shape ({self.n},)"
+            )
         if L is None or mu is None:
             eigs = np.linalg.eigvalsh(quad)
             L = float(eigs.max()) if L is None else L
@@ -100,13 +107,6 @@ class QuadraticObjectives:
         return (x.reshape(groups, self._group_size, self.d) @ self.quad).reshape(
             self.n, self.d
         )
-
-    def value_block(self, i, x):
-        q = self.quad[i // self._group_size]
-        return float(0.5 * x @ (q @ x) + self.lin[i] @ x + self.offsets[i])
-
-    def grad_block(self, i, x):
-        return self.quad[i // self._group_size] @ x + self.lin[i]
 
     def value(self, x):
         return float(
@@ -129,6 +129,13 @@ class LogisticObjectives:
     f_i(x) = (1/m) sum_j log(1 + exp(-b_ij a_ij'x)) + (reg/2) ||x||^2
     with labels in {-1, +1}. Smoothness uses the standard curvature bound
     lambda_max(A_i'A_i) / (4m) + reg; strong convexity equals reg.
+
+    The oracles read one label-signed copy of the data, the rows
+    ``-b_ij a_ij`` (exact, since b_ij = +-1). Then the margins
+    t_ij = -b_ij a_ij'x of all nodes are one batched matmul, the data
+    gradient sum_j expit(t_ij) (-b_ij a_ij) / m is another, and the loss
+    log(1 + e^t) is the softplus max(t, 0) + log1p(e^-|t|): the branch
+    ``np.logaddexp(0, t)`` takes, so it never overflows.
     """
 
     kind = "logistic"
@@ -150,6 +157,7 @@ class LogisticObjectives:
             raise ValueError(f"reg must be positive, got {reg}")
         self.features = features
         self.labels = labels
+        self._signed = -labels[:, :, None] * features
         self.reg = float(reg)
         self.n, self.m, self.d = features.shape
         if L is None:
@@ -160,35 +168,22 @@ class LogisticObjectives:
         self.L = float(L)
         self.mu = self.reg
 
-    def value_block(self, i, x):
-        margins = self.features[i] @ x
-        losses = np.logaddexp(0.0, -self.labels[i] * margins)
-        return float(losses.mean() + 0.5 * self.reg * (x @ x))
-
-    def grad_block(self, i, x):
-        margins = self.features[i] @ x
-        s = expit(-self.labels[i] * margins)
-        data_grad = -(self.features[i].T @ (self.labels[i] * s)) / self.m
-        return data_grad + self.reg * x
+    def _margins(self, x):
+        """t_ij = -b_ij a_ij'x for every node: shape (n, m)."""
+        return (self._signed @ x[:, :, None])[..., 0]
 
     def value(self, x):
-        margins = np.einsum("nmd,nd->nm", self.features, x)
-        losses = np.logaddexp(0.0, -self.labels * margins)
-        return float(losses.mean(axis=1).sum() + 0.5 * self.reg * np.vdot(x, x))
+        t = self._margins(x)
+        losses = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+        return float(losses.sum() / self.m + 0.5 * self.reg * np.vdot(x, x))
 
     def grad(self, x):
-        margins = np.einsum("nmd,nd->nm", self.features, x)
-        s = expit(-self.labels * margins)
-        data_grad = -np.einsum("nmd,nm->nd", self.features, self.labels * s) / self.m
-        return data_grad + self.reg * x
+        s = expit(self._margins(x))
+        return (s[:, None, :] @ self._signed)[:, 0, :] / self.m + self.reg * x
 
     def mean_grad(self, x):
-        margins = self.features @ x
-        s = expit(-self.labels * margins)
-        data_grad = -np.einsum("nmd,nm->d", self.features, self.labels * s) / (
-            self.m * self.n
-        )
-        return data_grad + self.reg * x
+        signed = self._signed.reshape(-1, self.d)
+        return signed.T @ expit(signed @ x) / (self.m * self.n) + self.reg * x
 
 
 def gen_synthetic_logistic(n, m, d, seed, kappa):

@@ -1,17 +1,39 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from gossipopt import objectives
+
+
+def _node_value(obj, i, x):
+    """f_i(x) for one node, straight from the definition: the reference the
+    batched ``value`` is checked against."""
+    if obj.kind == "logistic":
+        losses = np.logaddexp(0.0, -obj.labels[i] * (obj.features[i] @ x))
+        return float(losses.mean() + 0.5 * obj.reg * (x @ x))
+    q = obj.quad[i // (obj.n // obj.quad.shape[0])]
+    return float(0.5 * x @ (q @ x) + obj.lin[i] @ x + obj.offsets[i])
+
+
+def _node_grad(obj, i, x):
+    """Gradient of f_i at x for one node: the reference for ``grad``."""
+    if obj.kind == "logistic":
+        s = expit(-obj.labels[i] * (obj.features[i] @ x))
+        return -(obj.features[i].T @ (obj.labels[i] * s)) / obj.m + obj.reg * x
+    return obj.quad[i // (obj.n // obj.quad.shape[0])] @ x + obj.lin[i]
 
 
 def _central_diff(f, x, h=1e-6):
     g = np.empty_like(x)
     for j in range(x.size):
         e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (f(x + e) - f(x - e)) / (2 * h)
+        e.flat[j] = h
+        g.flat[j] = (f(x + e) - f(x - e)) / (2 * h)
     return g
 
 
@@ -29,28 +51,28 @@ def test_quadratic_gradient_is_linear_map():
     obj = objectives.QuadraticObjectives(
         np.array([[[2.0, 0.0], [0.0, 2.0]]]), np.zeros((1, 2))
     )
-    assert np.allclose(obj.grad_block(0, np.array([1.0, 1.0])), [2.0, 2.0])
+    assert np.allclose(obj.grad(np.array([[1.0, 1.0]]))[0], [2.0, 2.0])
 
 
 def test_logistic_gradient_at_zero(logistic):
     # sigmoid(0) = 1/2 and the regularizer vanishes at the origin
+    got = logistic.grad(np.zeros((logistic.n, logistic.d)))
     for i in range(logistic.n):
         expected = (
             -(logistic.features[i].T @ logistic.labels[i]) * 0.5 / logistic.m
         )
-        got = logistic.grad_block(i, np.zeros(logistic.d))
-        assert np.allclose(got, expected, atol=1e-14)
+        assert np.allclose(got[i], expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
 def test_gradient_matches_finite_differences(kind, logistic, quadratic):
+    # value sums the nodes' f_i, so its gradient in the stacked point is grad
     obj = logistic if kind == "logistic" else quadratic
     rng = np.random.default_rng(2)
-    for _ in range(20):
-        i = int(rng.integers(obj.n))
-        x = rng.standard_normal(obj.d)
-        fd = _central_diff(lambda u: obj.value_block(i, u), x)
-        g = obj.grad_block(i, x)
+    for _ in range(5):
+        x = rng.standard_normal((obj.n, obj.d))
+        fd = _central_diff(obj.value, x)
+        g = obj.grad(x)
         assert np.linalg.norm(fd - g) <= 1e-5 * (1 + np.linalg.norm(g))
 
 
@@ -60,8 +82,8 @@ def test_stacked_gradient_matches_blocks(logistic, quadratic):
         x = rng.standard_normal((obj.n, obj.d))
         stacked = obj.grad(x)
         for i in range(obj.n):
-            assert np.allclose(stacked[i], obj.grad_block(i, x[i]), atol=1e-12)
-        assert abs(obj.value(x) - sum(obj.value_block(i, x[i]) for i in range(obj.n))) < 1e-10
+            assert np.allclose(stacked[i], _node_grad(obj, i, x[i]), atol=1e-12)
+        assert abs(obj.value(x) - sum(_node_value(obj, i, x[i]) for i in range(obj.n))) < 1e-10
 
 
 def test_strong_monotonicity_and_lipschitz(logistic, quadratic):
@@ -78,18 +100,16 @@ def test_strong_monotonicity_and_lipschitz(logistic, quadratic):
 
 
 def test_two_sided_smoothness_bound(logistic, quadratic):
+    # x and y differ in node i only, so the gap is node i's own
     rng = np.random.default_rng(5)
     for obj in (logistic, quadratic):
         for _ in range(50):
             i = int(rng.integers(obj.n))
-            x = rng.standard_normal(obj.d)
-            y = rng.standard_normal(obj.d)
-            gap = (
-                obj.value_block(i, x)
-                - obj.value_block(i, y)
-                - float(obj.grad_block(i, y) @ (x - y))
-            )
-            dist = float((x - y) @ (x - y))
+            y = rng.standard_normal((obj.n, obj.d))
+            x = y.copy()
+            x[i] = rng.standard_normal(obj.d)
+            gap = obj.value(x) - obj.value(y) - float(np.vdot(obj.grad(y), x - y))
+            dist = float(np.vdot(x - y, x - y))
             assert gap >= 0.5 * obj.mu * dist - 1e-9 * (1 + dist)
             assert gap <= 0.5 * obj.L * dist + 1e-9 * (1 + dist)
 
@@ -109,12 +129,11 @@ def test_synthetic_logistic_deterministic():
 
 def test_stored_L_bounds_empirical_lipschitz(logistic):
     rng = np.random.default_rng(9)
-    for _ in range(100):
-        i = int(rng.integers(logistic.n))
-        x = rng.standard_normal(logistic.d)
-        y = rng.standard_normal(logistic.d)
-        num = np.linalg.norm(logistic.grad_block(i, x) - logistic.grad_block(i, y))
-        assert num <= logistic.L * np.linalg.norm(x - y) * (1 + 1e-9)
+    for _ in range(20):
+        x = rng.standard_normal((logistic.n, logistic.d))
+        y = rng.standard_normal((logistic.n, logistic.d))
+        num = np.linalg.norm(logistic.grad(x) - logistic.grad(y), axis=1)
+        assert np.all(num <= logistic.L * np.linalg.norm(x - y, axis=1) * (1 + 1e-9))
 
 
 def test_reference_minimizer_mean_closed_form():
@@ -168,6 +187,15 @@ def test_quadratic_rejects_group_count_not_dividing_n():
         objectives.QuadraticObjectives(np.zeros((0, 2, 2)), np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize(
+    "shape", [(3,), (6, 6), (), (6, 1)], ids=["short", "square", "scalar", "column"]
+)
+def test_quadratic_rejects_offsets_of_the_wrong_shape(shape):
+    # offsets of any other shape broadcast into value: n=6 with (3,) summed to 3
+    with pytest.raises(ValueError, match=rf"offsets shape {re.escape(str(shape))}.*\(6,\)"):
+        objectives.QuadraticObjectives(np.eye(2)[None], np.zeros((6, 2)), offsets=np.ones(shape))
+
+
 @st.composite
 def _grouped_quadratics(draw):
     n = draw(st.integers(1, 12))
@@ -198,7 +226,7 @@ def test_grouped_apply_matches_blocks_and_per_node_reference(case):
     # entrywise bound on the rounding of a length-d dot product
     scale = np.einsum("nij,nj->ni", np.abs(quad), np.abs(x)) + np.abs(obj.lin)
     reference = np.einsum("nij,nj->ni", quad, x) + obj.lin
-    blocks = np.array([obj.grad_block(i, x[i]) for i in range(obj.n)])
+    blocks = np.array([_node_grad(obj, i, x[i]) for i in range(obj.n)])
     grad = obj.grad(x)
     assert np.all(np.abs(grad - reference) <= 1e-12 * scale)
     assert np.all(np.abs(grad - blocks) <= 1e-12 * scale)
@@ -213,6 +241,62 @@ def test_grouped_apply_matches_blocks_and_per_node_reference(case):
         + np.vdot(obj.lin, x)
         + obj.offsets.sum()
     )
-    value_blocks = sum(obj.value_block(i, x[i]) for i in range(obj.n))
+    value_blocks = sum(_node_value(obj, i, x[i]) for i in range(obj.n))
     assert abs(obj.value(x) - value_ref) <= 1e-12 * value_scale
     assert abs(obj.value(x) - value_blocks) <= 1e-12 * value_scale
+
+
+@st.composite
+def _logistic_cases(draw):
+    n, m, d = draw(st.integers(1, 8)), draw(st.integers(1, 16)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = rng.standard_normal((n, m, d))
+    labels = np.where(rng.random((n, m)) < 0.5, -1.0, 1.0)
+    obj = objectives.LogisticObjectives(features, labels, draw(st.floats(1e-4, 1.0)))
+    x = draw(st.sampled_from([0.1, 1.0, 10.0])) * rng.standard_normal((n, d))
+    if draw(st.booleans()):
+        # scale each node's point until its smallest margin |b a'x| is 801
+        margins = np.abs(np.einsum("nmd,nd->nm", features, x))
+        x *= 801.0 / margins.min(axis=1, keepdims=True)
+    return obj, x
+
+
+@settings(max_examples=150)
+@given(_logistic_cases())
+@example(  # margins of -900 and +900 at node 0, -1000 twice at node 1
+    (objectives.LogisticObjectives(
+        np.ones((2, 2, 1)), np.array([[1.0, -1.0], [-1.0, -1.0]]), reg=0.5),
+     np.array([[900.0], [-1000.0]]))
+)
+def test_logistic_oracle_matches_per_node_reference(case):
+    obj, x = case
+    t = -obj.labels * np.einsum("nmd,nd->nm", obj.features, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflowing exp would warn
+        value, grad, mean = obj.value(x), obj.grad(x), obj.mean_grad(x[0])
+    assert np.isfinite(value)
+    big = np.abs(t) >= 800.0
+    # there log(1 + e^t) is max(t, 0) to the last bit
+    assert np.array_equal(np.logaddexp(0.0, t[big]), np.maximum(t[big], 0.0))
+
+    # Error scales: a margin's rounding is at most d eps |a|'|x|, and it moves
+    # a loss by s times that and a sigmoid by s (1 - s) times that.
+    def scales(t, bound):
+        s = expit(t)
+        losses = np.logaddexp(0.0, t)
+        per_row = np.einsum("nmd,nm->nd", np.abs(obj.features), s + s * (1 - s) * bound)
+        return (losses + s * bound).sum() / obj.m, per_row / obj.m
+
+    bound = np.einsum("nmd,nd->nm", np.abs(obj.features), np.abs(x))
+    value_scale, grad_scale = scales(t, bound)
+    value_ref = sum(_node_value(obj, i, x[i]) for i in range(obj.n))
+    assert abs(value - value_ref) <= 1e-13 * (value_scale + 0.5 * obj.reg * np.vdot(x, x))
+    grad_ref = np.array([_node_grad(obj, i, x[i]) for i in range(obj.n)])
+    assert np.all(np.abs(grad - grad_ref) <= 1e-13 * (grad_scale + obj.reg * np.abs(x)))
+
+    x0 = x[0]
+    t0 = -obj.labels * (obj.features @ x0)
+    _, mean_scale = scales(t0, np.abs(obj.features) @ np.abs(x0))
+    mean_ref = np.mean([_node_grad(obj, i, x0) for i in range(obj.n)], axis=0)
+    tol = 1e-13 * (mean_scale.mean(axis=0) + obj.reg * np.abs(x0))
+    assert np.all(np.abs(mean - mean_ref) <= tol)

@@ -1,5 +1,7 @@
 import ast
+import functools
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,24 @@ def _referenced_names(path):
     return found
 
 
+def _exported(name):
+    """Dotted names module ``name`` exports: each entry of its ``__all__``
+    and, for an exported class, each public method or property the class
+    itself defines."""
+    module = importlib.import_module(f"gossipopt.{name}")
+    for exported in getattr(module, "__all__", ()):
+        yield f"{name}.{exported}"
+        value = getattr(module, exported)
+        if not inspect.isclass(value):
+            continue
+        for member, attr in vars(value).items():
+            if not member.startswith("_") and (
+                inspect.isfunction(attr)
+                or isinstance(attr, (property, functools.cached_property))
+            ):
+                yield f"{name}.{exported}.{member}"
+
+
 def test_every_exported_name_has_a_caller():
     # The package's re-exports in __init__.py are not callers.
     package = ROOT / "src" / "gossipopt"
@@ -55,9 +75,9 @@ def test_every_exported_name_has_a_caller():
     sources.append(ROOT / "tests" / "test_acceptance.py")
     used = set().union(*(_referenced_names(p) for p in sources))
     unused = [
-        f"{name}.{exported}"
+        dotted
         for name in MODULES
-        for exported in getattr(importlib.import_module(f"gossipopt.{name}"), "__all__", ())
-        if exported not in used
+        for dotted in _exported(name)
+        if dotted.rsplit(".", 1)[1] not in used
     ]
     assert not unused, f"exported but never used outside a unit test: {unused}"
