@@ -6,9 +6,9 @@ stored once with each label folded into its feature row, and quadratics
 whose curvature matrices are shared by equal, contiguous groups of nodes
 (down to one node per group). Both evaluate all n nodes at once with
 batched matmuls: ``grad`` and ``value`` take stacked (n, d) points, and
-``mean_grad`` takes one point in R^d. A centralized accelerated solver
-produces high-accuracy minimizers of the averaged objective for use as
-test references.
+``mean_grad`` and ``mean_hessian`` take one point in R^d.
+``reference_minimizer`` runs Newton's method on the averaged objective with
+those two, and reaches its minimizer to the float floor in a few steps.
 """
 
 from __future__ import annotations
@@ -122,6 +122,10 @@ class QuadraticObjectives:
         """Gradient of (1/n) sum_i f_i at a single point x in R^d."""
         return self._mean_quad @ x + self._mean_lin
 
+    def mean_hessian(self, x):
+        """Hessian of (1/n) sum_i f_i: the mean curvature, whatever x."""
+        return self._mean_quad
+
 
 class LogisticObjectives:
     """Per-node l2-regularized logistic losses over (features, labels).
@@ -155,14 +159,13 @@ class LogisticObjectives:
             raise ValueError("labels must be -1 or +1")
         if reg <= 0:
             raise ValueError(f"reg must be positive, got {reg}")
-        self.features = features
         self.labels = labels
         self._signed = -labels[:, :, None] * features
         self.reg = float(reg)
         self.n, self.m, self.d = features.shape
         if L is None:
             top = max(
-                float(np.linalg.eigvalsh(a.T @ a)[-1]) for a in features
+                float(np.linalg.eigvalsh(a.T @ a)[-1]) for a in self._signed
             )
             L = top / (4.0 * self.m) + self.reg
         self.L = float(L)
@@ -184,6 +187,14 @@ class LogisticObjectives:
     def mean_grad(self, x):
         signed = self._signed.reshape(-1, self.d)
         return signed.T @ expit(signed @ x) / (self.m * self.n) + self.reg * x
+
+    def mean_hessian(self, x):
+        """Hessian A' diag(s (1 - s)) A / (nm) + reg I at x. s (1 - s) is even
+        in the margin, so A may be the signed rows and s = expit(-|t|) <= 1/2."""
+        signed = self._signed.reshape(-1, self.d)
+        s = expit(-np.abs(signed @ x))
+        weighted = signed.T * (s * (1.0 - s))
+        return weighted @ signed / (self.m * self.n) + self.reg * np.eye(self.d)
 
 
 def gen_synthetic_logistic(n, m, d, seed, kappa):
@@ -227,29 +238,27 @@ def gen_random_quadratic(n, d, L, mu, seed):
     return QuadraticObjectives(quad, lin, L=L, mu=mu)
 
 
-def reference_minimizer(objectives, tol=1e-10, max_iter=10_000_000):
-    """High-accuracy minimizer of the averaged objective.
+def reference_minimizer(objectives):
+    """Minimizer of the averaged objective (1/n) sum_i f_i, to the float floor.
 
-    Runs the constant-momentum accelerated gradient method for strongly
-    convex problems on (1/n) sum_i f_i, using the stored constants, until
-    the gradient norm drops below ``tol``. Deterministic (starts from zero).
+    Newton's method from zero on ``mean_grad`` and ``mean_hessian``. It stops
+    when a step is within a few ulps of |x|, or when the gradient norm stops
+    falling, and returns the iterate with the smaller gradient norm.
 
     Raises
     ------
     RuntimeError
-        If the iteration cap is exceeded.
+        If neither happens within 50 steps.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    L, mu = objectives.L, objectives.mu
-    momentum = (np.sqrt(L) - np.sqrt(mu)) / (np.sqrt(L) + np.sqrt(mu))
     x = np.zeros(objectives.d)
-    lookahead = x.copy()
-    for _ in range(max_iter):
-        g = objectives.mean_grad(lookahead)
-        if np.linalg.norm(g) <= tol:
-            return lookahead
-        x_next = lookahead - g / L
-        lookahead = x_next + momentum * (x_next - x)
-        x = x_next
-    raise RuntimeError(f"reference solve did not reach tol={tol} in {max_iter} steps")
+    grad = objectives.mean_grad(x)
+    for _ in range(50):
+        step = np.linalg.solve(objectives.mean_hessian(x), grad)
+        grad_next = objectives.mean_grad(x - step)
+        if not np.linalg.norm(grad_next) < np.linalg.norm(grad):
+            return x
+        x, grad = x - step, grad_next
+        if np.linalg.norm(step) <= 4.0 * np.spacing(np.linalg.norm(x)):
+            return x
+    norm = np.linalg.norm(grad)
+    raise RuntimeError(f"Newton solve: |grad| {norm:.3e} still falling after 50 steps")

@@ -284,28 +284,27 @@ class SaddleReference:
         return np.array([self.x, self.y, self.z])
 
 
-def make_reference(objectives, nu, x_bar=None, tol=1e-12):
+def make_reference(objectives, nu, x_bar=None):
     """Build the saddle-point reference from (or computing) a minimizer.
 
-    The multiplier z is the projection of ``-nu x - y`` onto the
-    zero-block-sum subspace; the block mean it removes equals the averaged
-    gradient at ``x_bar`` and must already be negligible, which is checked.
+    The multiplier z is the projection of ``-nu x - y = -grad_star`` onto
+    the zero-block-sum subspace; the block mean it removes is minus the
+    averaged gradient at ``x_bar``, which must be negligible and is checked.
     """
     if x_bar is None:
-        x_bar = reference_minimizer(objectives, tol=tol)
+        x_bar = reference_minimizer(objectives)
     x_bar = np.asarray(x_bar, dtype=float)
     x = np.tile(x_bar, (objectives.n, 1))
     grad_star = objectives.grad(x)
     y = grad_star - nu * x
-    raw = -nu * x - y
-    residual = float(np.linalg.norm(raw.mean(axis=0)))
+    residual = float(np.linalg.norm(grad_star.mean(axis=0)))
     scale = 1.0 + float(np.linalg.norm(x_bar))
     if residual > REFERENCE_TOL * scale:
         raise ValueError(
             f"reference point is not accurate enough: averaged gradient norm "
             f"{residual:.3e} exceeds {REFERENCE_TOL:g} * {scale:.3e}"
         )
-    z = blockvec.project_consensus(raw)
+    z = blockvec.project_consensus(-grad_star)
     return SaddleReference(
         x_bar=x_bar,
         x=x,

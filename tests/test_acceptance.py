@@ -87,7 +87,7 @@ def test_criterion_03_saddle_point_fixed():
     for obj, sched in cases:
         mixing = topology.build_mixing(sched)
         params = solver.derive_params(obj.L, obj.mu, mixing.chi)
-        ref = solver.make_reference(obj, params.nu, tol=1e-13)
+        ref = solver.make_reference(obj, params.nu)
         state = solver.saddle_state(ref)
         for _ in range(100):
             state = solver.step(state, params, obj, mixing)
@@ -107,7 +107,7 @@ def test_criterion_04_lyapunov_certification():
     mixing = topology.build_mixing(topology.star_cycle_schedule(9))
     chi = mixing.chi
     params = solver.derive_params(obj.L, obj.mu, chi)
-    ref = solver.make_reference(obj, params.nu, tol=1e-13)
+    ref = solver.make_reference(obj, params.nu)
     result = solver.run(
         obj, mixing, T=1, budget=2000, params=params, reference=ref,
         track_lyapunov=True,
@@ -130,7 +130,7 @@ def logistic_runs():
     for kappa in (1000.0, 4000.0):
         obj = objectives.gen_synthetic_logistic(10, 30, 20, seed=1, kappa=kappa)
         params = solver.derive_params(obj.L, obj.mu, mixing.chi)
-        ref = solver.make_reference(obj, params.nu, tol=1e-12)
+        ref = solver.make_reference(obj, params.nu)
         x_star_sq = float(np.vdot(ref.x, ref.x))
         eps = 1e-9 * x_star_sq
         psi0 = solver.lyapunov(
@@ -193,7 +193,7 @@ def test_criterion_07_chi_robust_with_multi_consensus():
 def test_criterion_08_hard_instance_solution():
     assert abs(hardcase.hard_rho(11.0, 2.0) - 1.0 / 3.0) <= 1e-15
     inst = hardcase.build_hard_instance(30.0, 100.0, 1.0, 200)
-    x_ref = objectives.reference_minimizer(inst.objectives, tol=1e-9)
+    x_ref = objectives.reference_minimizer(inst.objectives)
     closed = inst.solution()
     assert np.abs(x_ref[:50] - closed[:50]).max() <= 1e-6
     _announce(8, "reference solver matches the closed-form geometric solution")

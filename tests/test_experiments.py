@@ -634,3 +634,22 @@ def test_cli_sweep(tmp_path, capsys):
     assert len(out) == 3
     assert cli.main(["sweep", config, "--axis", "T", "--values", "1.5,2.9"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_sweep_prints_why_each_row_failed(tmp_path, capsys):
+    config = _write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "synthetic_logistic", "n": 6, "m": 5, "d": 3,
+                        "kappa": 10.0, "seed": 0},
+            "topology": {"kind": "ring_star", "n": 5},
+            "stop": {"budget": 5},
+        },
+    )
+    assert cli.main(["sweep", config, "--axis", "kappa", "--values", "10,100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == ["10.0,error,,,", "100.0,error,,,"]
+    why = "topology has n=5 nodes but the problem has n=6"
+    assert captured.err.splitlines() == [
+        f"error: sweep value {v}: {why}" for v in ("10.0", "100.0")
+    ]

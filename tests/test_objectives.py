@@ -7,14 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from gossipopt import objectives
+from gossipopt import hardcase, objectives
+
+
+def _features(obj):
+    """The per-node features a_ij, shape (n, m, d), from the signed rows."""
+    return -obj.labels[..., None] * obj._signed
 
 
 def _node_value(obj, i, x):
     """f_i(x) for one node, straight from the definition: the reference the
     batched ``value`` is checked against."""
     if obj.kind == "logistic":
-        losses = np.logaddexp(0.0, -obj.labels[i] * (obj.features[i] @ x))
+        losses = np.logaddexp(0.0, -obj.labels[i] * (_features(obj)[i] @ x))
         return float(losses.mean() + 0.5 * obj.reg * (x @ x))
     q = obj.quad[i // (obj.n // obj.quad.shape[0])]
     return float(0.5 * x @ (q @ x) + obj.lin[i] @ x + obj.offsets[i])
@@ -23,9 +28,19 @@ def _node_value(obj, i, x):
 def _node_grad(obj, i, x):
     """Gradient of f_i at x for one node: the reference for ``grad``."""
     if obj.kind == "logistic":
-        s = expit(-obj.labels[i] * (obj.features[i] @ x))
-        return -(obj.features[i].T @ (obj.labels[i] * s)) / obj.m + obj.reg * x
+        a = _features(obj)[i]
+        s = expit(-obj.labels[i] * (a @ x))
+        return -(a.T @ (obj.labels[i] * s)) / obj.m + obj.reg * x
     return obj.quad[i // (obj.n // obj.quad.shape[0])] @ x + obj.lin[i]
+
+
+def _node_hessian(obj, i, x):
+    """Hessian of f_i at x for one node: the reference for ``mean_hessian``."""
+    if obj.kind == "logistic":
+        a = _features(obj)[i]
+        t = -obj.labels[i] * (a @ x)
+        return (a.T * (expit(t) * expit(-t))) @ a / obj.m + obj.reg * np.eye(obj.d)
+    return obj.quad[i // (obj.n // obj.quad.shape[0])]
 
 
 def _central_diff(f, x, h=1e-6):
@@ -59,7 +74,7 @@ def test_logistic_gradient_at_zero(logistic):
     got = logistic.grad(np.zeros((logistic.n, logistic.d)))
     for i in range(logistic.n):
         expected = (
-            -(logistic.features[i].T @ logistic.labels[i]) * 0.5 / logistic.m
+            -(_features(logistic)[i].T @ logistic.labels[i]) * 0.5 / logistic.m
         )
         assert np.allclose(got[i], expected, atol=1e-14)
 
@@ -122,7 +137,7 @@ def test_synthetic_logistic_condition_number_exact():
 def test_synthetic_logistic_deterministic():
     a = objectives.gen_synthetic_logistic(3, 8, 5, seed=11, kappa=25.0)
     b = objectives.gen_synthetic_logistic(3, 8, 5, seed=11, kappa=25.0)
-    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a._signed, b._signed)
     assert np.array_equal(a.labels, b.labels)
     assert a.reg == b.reg
 
@@ -136,6 +151,19 @@ def test_stored_L_bounds_empirical_lipschitz(logistic):
         assert np.all(num <= logistic.L * np.linalg.norm(x - y, axis=1) * (1 + 1e-9))
 
 
+def _count_hessians(obj):
+    """Wrap ``obj.mean_hessian`` to count its calls, one per Newton step."""
+    calls = []
+    hessian = obj.mean_hessian
+
+    def counted(x):
+        calls.append(x)
+        return hessian(x)
+
+    obj.mean_hessian = counted
+    return calls
+
+
 def test_reference_minimizer_mean_closed_form():
     # with Q_i = I and c_i = -v_i the average objective peaks at mean(v_i)
     rng = np.random.default_rng(10)
@@ -143,15 +171,70 @@ def test_reference_minimizer_mean_closed_form():
     obj = objectives.QuadraticObjectives(
         np.tile(np.eye(3), (5, 1, 1)), -v, L=1.5, mu=0.5
     )
-    x_ref = objectives.reference_minimizer(obj, tol=1e-12)
+    x_ref = objectives.reference_minimizer(obj)
     assert np.allclose(x_ref, v.mean(axis=0), atol=1e-10)
     assert np.linalg.norm(obj.mean_grad(x_ref)) <= 1e-12
 
 
+def _separable_logistic():
+    # every label is the sign of a planted direction, so only reg keeps the
+    # minimizer finite
+    rng = np.random.default_rng(13)
+    features = rng.standard_normal((5, 20, 4))
+    labels = np.where(features @ rng.standard_normal(4) >= 0.0, 1.0, -1.0)
+    return objectives.LogisticObjectives(features, labels, 1e-8)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: objectives.gen_synthetic_logistic(10, 30, 20, seed=1, kappa=10.0),
+        lambda: objectives.gen_synthetic_logistic(10, 30, 20, seed=1, kappa=1e3),
+        lambda: objectives.gen_synthetic_logistic(10, 30, 20, seed=1, kappa=1e6),
+        _separable_logistic,
+    ],
+    ids=["kappa10", "kappa1e3", "kappa1e6", "separable"],
+)
+def test_newton_reaches_the_float_floor_in_few_steps(make):
+    obj = make()
+    calls = _count_hessians(obj)
+    x_ref = objectives.reference_minimizer(obj)
+    assert np.linalg.norm(obj.mean_grad(x_ref)) <= 1e-15
+    assert len(calls) <= 30
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: objectives.gen_random_quadratic(6, 5, L=2.0, mu=1.0, seed=14),
+        lambda: objectives.gen_random_quadratic(6, 5, L=100.0, mu=1.0, seed=14),
+        lambda: objectives.gen_random_quadratic(6, 5, L=1e4, mu=1.0, seed=14),
+        # the second step here stays above a few ulps of |x| but raises the
+        # gradient norm, so only the gradient rule stops the solve
+        lambda: hardcase.build_hard_instance(9.0, 1e4, 1.0, 834).objectives,
+    ],
+    ids=["L2", "L100", "L1e4", "hard_L1e4"],
+)
+def test_newton_solves_a_quadratic_in_two_steps(make):
+    obj = make()
+    calls = _count_hessians(obj)
+    x_ref = objectives.reference_minimizer(obj)
+    assert len(calls) <= 2
+    exact = np.linalg.solve(obj.quad.mean(axis=0), -obj.lin.mean(axis=0))
+    assert np.linalg.norm(x_ref - exact) <= 1e-12 * obj.L * np.linalg.norm(exact)
+
+
 def test_reference_minimizer_iteration_cap():
-    obj = objectives.gen_random_quadratic(3, 4, L=50.0, mu=0.5, seed=12)
-    with pytest.raises(RuntimeError, match="did not reach"):
-        objectives.reference_minimizer(obj, tol=1e-14, max_iter=3)
+    class Overcurved(objectives.QuadraticObjectives):
+        # four times the true curvature: each step removes a quarter of the
+        # error, so the gradient keeps falling past the step cap
+        def mean_hessian(self, x):
+            return 4.0 * super().mean_hessian(x)
+
+    base = objectives.gen_random_quadratic(3, 4, L=50.0, mu=0.5, seed=12)
+    obj = Overcurved(base.quad, base.lin, L=base.L, mu=base.mu)
+    with pytest.raises(RuntimeError, match="still falling after 50 steps"):
+        objectives.reference_minimizer(obj)
 
 
 def test_objective_validation_errors():
@@ -270,7 +353,8 @@ def _logistic_cases(draw):
 )
 def test_logistic_oracle_matches_per_node_reference(case):
     obj, x = case
-    t = -obj.labels * np.einsum("nmd,nd->nm", obj.features, x)
+    features = _features(obj)
+    t = -obj.labels * np.einsum("nmd,nd->nm", features, x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an overflowing exp would warn
         value, grad, mean = obj.value(x), obj.grad(x), obj.mean_grad(x[0])
@@ -284,10 +368,10 @@ def test_logistic_oracle_matches_per_node_reference(case):
     def scales(t, bound):
         s = expit(t)
         losses = np.logaddexp(0.0, t)
-        per_row = np.einsum("nmd,nm->nd", np.abs(obj.features), s + s * (1 - s) * bound)
+        per_row = np.einsum("nmd,nm->nd", np.abs(features), s + s * (1 - s) * bound)
         return (losses + s * bound).sum() / obj.m, per_row / obj.m
 
-    bound = np.einsum("nmd,nd->nm", np.abs(obj.features), np.abs(x))
+    bound = np.einsum("nmd,nd->nm", np.abs(features), np.abs(x))
     value_scale, grad_scale = scales(t, bound)
     value_ref = sum(_node_value(obj, i, x[i]) for i in range(obj.n))
     assert abs(value - value_ref) <= 1e-13 * (value_scale + 0.5 * obj.reg * np.vdot(x, x))
@@ -295,8 +379,28 @@ def test_logistic_oracle_matches_per_node_reference(case):
     assert np.all(np.abs(grad - grad_ref) <= 1e-13 * (grad_scale + obj.reg * np.abs(x)))
 
     x0 = x[0]
-    t0 = -obj.labels * (obj.features @ x0)
-    _, mean_scale = scales(t0, np.abs(obj.features) @ np.abs(x0))
+    t0 = -obj.labels * (features @ x0)
+    _, mean_scale = scales(t0, np.abs(features) @ np.abs(x0))
     mean_ref = np.mean([_node_grad(obj, i, x0) for i in range(obj.n)], axis=0)
     tol = 1e-13 * (mean_scale.mean(axis=0) + obj.reg * np.abs(x0))
     assert np.all(np.abs(mean - mean_ref) <= tol)
+
+
+@settings(max_examples=100)
+@given(st.one_of(_logistic_cases(), _grouped_quadratics()))
+def test_mean_hessian_matches_per_node_reference(case):
+    obj, x = case
+    x0 = x[0]
+    hess = obj.mean_hessian(x0)
+    reference = np.mean([_node_hessian(obj, i, x0) for i in range(obj.n)], axis=0)
+    if obj.kind == "quadratic":
+        scale = np.abs(obj.quad).mean(axis=0)
+    else:
+        # each term s (1 - s) a a' is positive, and rounding a margin moves
+        # its weight by at most s (1 - s) times d eps |a|'|x|
+        a = _features(obj).reshape(-1, obj.d)
+        t = a @ x0
+        weight = expit(t) * expit(-t) * (1 + np.abs(a) @ np.abs(x0))
+        scale = (np.abs(a).T * weight) @ np.abs(a) / (obj.n * obj.m) + obj.reg * np.eye(obj.d)
+    assert hess.shape == (obj.d, obj.d)
+    assert np.all(np.abs(hess - reference) <= 1e-12 * scale)

@@ -145,7 +145,7 @@ def test_saddle_point_is_fixed(kind):
         obj = objectives.gen_synthetic_logistic(6, 20, 8, seed=2, kappa=10.0)
         mixing = topology.build_mixing(topology.ring_star_schedule(6))
     params = solver.derive_params(obj.L, obj.mu, mixing.chi)
-    ref = solver.make_reference(obj, params.nu, tol=1e-13)
+    ref = solver.make_reference(obj, params.nu)
     state = solver.saddle_state(ref)
     for _ in range(100):
         state = solver.step(state, params, obj, mixing)
@@ -170,7 +170,7 @@ def test_saddle_point_is_fixed_on_random_quadratics(n, d, kappa, T, seed):
     obj = objectives.gen_random_quadratic(n, d, L=kappa, mu=1.0, seed=seed)
     mixing = topology.build_mixing(topology.ring_star_schedule(n))
     params = solver.derive_params(obj.L, obj.mu, solver.effective_chi(mixing.chi, T))
-    ref = solver.make_reference(obj, params.nu, tol=1e-13)
+    ref = solver.make_reference(obj, params.nu)
     state = solver.saddle_state(ref)
     for _ in range(10):
         state = solver.step(state, params, obj, mixing, T=T)
@@ -231,7 +231,7 @@ def small_run():
     obj = objectives.gen_random_quadratic(4, 3, L=10.0, mu=1.0, seed=0)
     mixing = topology.build_mixing(topology.ring_star_schedule(4))
     params = solver.derive_params(obj.L, obj.mu, mixing.chi)
-    ref = solver.make_reference(obj, params.nu, tol=1e-13)
+    ref = solver.make_reference(obj, params.nu)
     result = solver.run(
         obj, mixing, T=1, budget=1500, params=params, reference=ref,
         stop_metric="stacked",
@@ -437,7 +437,7 @@ def test_step_leaves_its_input_unchanged(case):
 @settings(max_examples=40)
 def test_lyapunov_components_match_the_per_field_formula(case, seed):
     obj, _, params, _, _ = case
-    ref = solver.make_reference(obj, params.nu, tol=1e-13)
+    ref = solver.make_reference(obj, params.nu)
     state = _random_state(obj.n, obj.d, seed=seed)
     report = solver.lyapunov(state, params, obj, ref)
     want = _reference_lyapunov(state, params, obj, ref)
@@ -488,6 +488,23 @@ def test_run_calls_the_traced_names_once_per_iteration(monkeypatch):
         monkeypatch.undo()
         assert len(result.records) == 6
         assert calls == {"step": 5, "lyapunov": 6 if track else 0, "mix": 5}
+
+
+def test_make_reference_solves_through_the_solver_name(monkeypatch):
+    # the benchmark's tracer times the reference solve by patching this name
+    obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
+    calls = []
+
+    def counted(objectives_):
+        calls.append(objectives_)
+        return objectives.reference_minimizer(objectives_)
+
+    monkeypatch.setattr(solver, "reference_minimizer", counted)
+    ref = solver.make_reference(obj, 0.5)
+    assert calls == [obj]
+    assert np.array_equal(ref.x_bar, objectives.reference_minimizer(obj))
+    solver.make_reference(obj, 0.5, x_bar=ref.x_bar)
+    assert calls == [obj]
 
 
 def test_trace_holds_copies_of_x():
