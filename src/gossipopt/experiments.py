@@ -13,6 +13,7 @@ record stream.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -233,6 +234,11 @@ def _format_value(v):
     return repr(float(v))
 
 
+def _json_value(v):
+    # An untracked potential is NaN, which JSON has no token for: null.
+    return None if math.isnan(v) else v
+
+
 def emit(records, fmt="csv", path=None):
     """Render records to CSV or JSON text; optionally write the file."""
     if fmt == "csv":
@@ -244,9 +250,10 @@ def emit(records, fmt="csv", path=None):
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         rows = [
-            {name: getattr(rec, name) for name in _RECORD_FIELDS} for rec in records
+            {name: _json_value(getattr(rec, name)) for name in _RECORD_FIELDS}
+            for rec in records
         ]
-        text = json.dumps(rows)
+        text = json.dumps(rows, allow_nan=False)
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     if path is not None:
@@ -311,8 +318,7 @@ def run_experiment(config, output_dir=None, *, mixing_memo=None):
     if config.param_overrides:
         params = params.override(**config.param_overrides)
 
-    x_bar = instance.solution() if instance is not None else None
-    reference = solver.make_reference(objectives, params.nu, x_bar=x_bar)
+    reference = solver.make_reference(objectives, params.nu)
 
     result = solver.run(
         objectives,

@@ -174,7 +174,7 @@ def test_criterion_07_chi_robust_with_multi_consensus():
         T = math.ceil(mixing.chi * math.log(2.0))
         chi_eff = solver.effective_chi(mixing.chi, T)
         params = solver.derive_params(inst.L, inst.mu, chi_eff)
-        ref = solver.make_reference(inst.objectives, params.nu, x_bar=inst.solution())
+        ref = solver.make_reference(inst.objectives, params.nu)
         eps = 1e-6 * float(np.vdot(ref.x, ref.x))
         result = solver.run(
             inst.objectives, mixing, T=T, budget=3_000_000, target_eps=eps,
@@ -203,7 +203,7 @@ def test_criterion_09_lower_bound_certification():
     inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 150)
     mixing = topology.build_mixing(inst.schedule)
     params = solver.derive_params(inst.L, inst.mu, mixing.chi)
-    ref = solver.make_reference(inst.objectives, params.nu, x_bar=inst.solution())
+    ref = solver.make_reference(inst.objectives, params.nu)
     result = solver.run(
         inst.objectives, mixing, T=1, budget=200, params=params, reference=ref,
         collect_trace=True, track_lyapunov=False,

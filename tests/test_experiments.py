@@ -49,6 +49,26 @@ def test_emit_json_roundtrip_exact():
         assert row["psi_x"] == rec.psi_x
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_emit_json_untracked_potentials_are_null(tmp_path):
+    cfg = _quadratic_config(
+        budget=3, record_lyapunov=False, output_path="run.json", output_format="json"
+    )
+    result = experiments.run_experiment(cfg, output_dir=str(tmp_path))
+    text = (tmp_path / "run.json").read_text()
+    rows = json.loads(text, parse_constant=_reject_constant)
+    assert len(rows) == 4
+    assert all(row["psi_x"] is None and row["psi_yz"] is None for row in rows)
+    assert [row["err_sq_stacked"] for row in rows] == [
+        rec.err_sq_stacked for rec in result.records
+    ]
+    # CSV keeps writing nan for the same records
+    assert experiments.emit(result.records, "csv").split("\n")[1].endswith(",nan,nan")
+
+
 def test_csv_floats_roundtrip_exactly():
     result = experiments.run_experiment(_quadratic_config(budget=5))
     lines = experiments.emit(result.records, "csv").strip().split("\n")[1:]

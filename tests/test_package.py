@@ -81,3 +81,35 @@ def test_every_exported_name_has_a_caller():
         if dotted.rsplit(".", 1)[1] not in used
     ]
     assert not unused, f"exported but never used outside a unit test: {unused}"
+
+
+# The package modules each module imports. experiments sits on top of these
+# five and cli on top of experiments; neither is imported from below.
+IMPORT_GRAPH = {
+    "blockvec": set(),
+    "objectives": set(),
+    "topology": {"blockvec"},
+    "solver": {"blockvec", "objectives"},
+    "hardcase": {"objectives", "topology"},
+}
+
+
+def _package_imports(name):
+    """Package modules that ``from . import x`` or ``from .x import ...``
+    lines in module ``name`` reach, at any depth of the file."""
+    tree = ast.parse((ROOT / "src" / "gossipopt" / f"{name}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                found.update(alias.name for alias in node.names)
+            else:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def test_package_import_layers():
+    graph = {name: _package_imports(name) for name in MODULES}
+    assert {name: graph[name] for name in IMPORT_GRAPH} == IMPORT_GRAPH
+    assert graph["experiments"] <= set(IMPORT_GRAPH)
+    assert graph["cli"] <= set(IMPORT_GRAPH) | {"experiments"}

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipopt import blockvec, objectives, solver, topology
+from gossipopt import blockvec, experiments, objectives, solver, topology
 
 
 def _transcribed_step(state, p, obj, mixing, T=1):
@@ -503,8 +503,16 @@ def test_make_reference_solves_through_the_solver_name(monkeypatch):
     ref = solver.make_reference(obj, 0.5)
     assert calls == [obj]
     assert np.array_equal(ref.x_bar, objectives.reference_minimizer(obj))
-    solver.make_reference(obj, 0.5, x_bar=ref.x_bar)
-    assert calls == [obj]
+    # a hard instance takes its reference from the same single solve
+    config = experiments.ExperimentConfig(
+        problem={"kind": "hard_instance", "chi": 9.0, "L": 16.0, "mu": 1.0, "d_trunc": 20},
+        budget=3,
+    )
+    result = experiments.run_experiment(config)
+    assert len(calls) == 2 and calls[1].d == 20
+    # the run starts at zero, so its first error is the squared norm of x*
+    x_bar = objectives.reference_minimizer(calls[1])
+    assert result.records[0].err_sq_mean_block == float(np.vdot(x_bar, x_bar))
 
 
 def test_trace_holds_copies_of_x():
