@@ -53,13 +53,14 @@ def mix(w, v):
     return w @ v
 
 
-def project_consensus(v):
+def project_consensus(v, out=None):
     """Orthogonal projection onto the zero-block-sum subspace.
 
-    Subtracts the block mean from every block; idempotent.
+    Subtracts the block mean from every block; idempotent. ``out``, an
+    array of v's shape, receives the result when given.
     """
     v = as_blocks(v)
-    return v - v.sum(axis=0) / len(v)
+    return np.subtract(v, v.sum(axis=0) / len(v), out=out)
 
 
 def multi_mix(mixing, k, T, v):

@@ -35,8 +35,11 @@ def _cmd_sweep(args):
     rows = experiments.sweep(config, args.axis, values, output_dir=args.output_dir)
     print("value,status,iterations_to_eps,comm_rounds_to_eps,grad_calls_to_eps")
     for row in rows:
-        if row["status"] == "error":
-            print(f"error: sweep value {row['value']}: {row['error']}", file=sys.stderr)
+        if row["error"] is not None:
+            print(
+                f"{row['status']}: sweep value {row['value']}: {row['error']}",
+                file=sys.stderr,
+            )
         cells = [
             row["value"],
             row["status"],

@@ -17,6 +17,7 @@ import math
 import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 from . import hardcase, solver, topology
@@ -35,6 +36,11 @@ __all__ = [
 CSV_HEADER = "k,comm_rounds,grad_calls,err_sq_stacked,err_sq_mean_block,psi_x,psi_yz"
 
 _RECORD_FIELDS = CSV_HEADER.split(",")
+
+# One CSV row: %s gives str() of an int and of a float, whose str() is its
+# round-trip repr.
+_CSV_ROW = ",".join(["%s"] * len(_RECORD_FIELDS))
+_csv_values = attrgetter(*_RECORD_FIELDS)
 
 # Each key of a nested config section and the field it sets; every other
 # field of ExperimentConfig is a top-level key of the same name.
@@ -228,12 +234,6 @@ def _resolve_output_path(config, output_dir):
     return config.output_path
 
 
-def _format_value(v):
-    if isinstance(v, int):
-        return str(v)
-    return repr(float(v))
-
-
 def _json_value(v):
     # An untracked potential is NaN, which JSON has no token for: null.
     return None if math.isnan(v) else v
@@ -242,12 +242,8 @@ def _json_value(v):
 def emit(records, fmt="csv", path=None):
     """Render records to CSV or JSON text; optionally write the file."""
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for rec in records:
-            lines.append(
-                ",".join(_format_value(getattr(rec, name)) for name in _RECORD_FIELDS)
-            )
-        text = "\n".join(lines) + "\n"
+        rows = (_CSV_ROW % _csv_values(rec) for rec in records)
+        text = "\n".join([CSV_HEADER, *rows]) + "\n"
     elif fmt == "json":
         rows = [
             {name: _json_value(getattr(rec, name)) for name in _RECORD_FIELDS}
@@ -349,6 +345,7 @@ def run_experiment(config, output_dir=None, *, mixing_memo=None):
         "final_err_sq_stacked": last.err_sq_stacked,
         "final_err_sq_mean_block": last.err_sq_mean_block,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "chi_measured": chi_measured,
         "chi_used": chi_used,
         "chi_eff": chi_eff,
@@ -397,12 +394,15 @@ def _config_with(config, axis, value):
 def sweep(base_config, axis, values, output_dir=None):
     """One run per value along the axis; failures mark their row only.
 
-    Rows that share a topology section share its gossip matrices for the
-    length of this call: the first row that needs them builds them.
+    A row's status is ``ok``, ``diverged`` when its run raised
+    :class:`solver.DivergenceError`, or ``error`` for any other failure;
+    the row's ``error`` holds a failure's message. Rows that share a
+    topology section share its gossip matrices for the length of this call:
+    the first row that needs them builds them.
 
     Returns rows with the counts needed for complexity plots: iterations,
     communication rounds and gradient calls at the stop target (None when
-    the run only exhausted its budget).
+    the run stopped for another reason).
     """
     if not values:
         raise ValueError("sweep needs at least one value")
@@ -417,8 +417,9 @@ def sweep(base_config, axis, values, output_dir=None):
                 mixing_memo=mixing_memo,
             )
         except Exception as exc:  # noqa: BLE001 - row-level fault isolation
+            diverged = isinstance(exc, solver.DivergenceError)
             row.update(
-                status="error",
+                status="diverged" if diverged else "error",
                 error=str(exc),
                 iterations_to_eps=None,
                 comm_rounds_to_eps=None,

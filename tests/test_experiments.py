@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gossipopt import cli, experiments
+from gossipopt import cli, experiments, solver
 from gossipopt.experiments import CSV_HEADER, ExperimentConfig
 
 
@@ -67,6 +67,47 @@ def test_emit_json_untracked_potentials_are_null(tmp_path):
     ]
     # CSV keeps writing nan for the same records
     assert experiments.emit(result.records, "csv").split("\n")[1].endswith(",nan,nan")
+
+
+def _format_value(v):
+    """How emit rendered one CSV value before it used one format per row."""
+    if isinstance(v, int):
+        return str(v)
+    return repr(float(v))
+
+
+def _per_value_csv(records):
+    lines = [CSV_HEADER]
+    for rec in records:
+        lines.append(",".join(_format_value(getattr(rec, name)) for name in
+                              CSV_HEADER.split(",")))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("track", [True, False])
+def test_run_records_hold_python_ints_and_floats(track):
+    # emit renders floats with str(), which numpy 2 scalars would not match
+    result = experiments.run_experiment(
+        _quadratic_config(budget=3, T=2, record_lyapunov=track)
+    )
+    for rec in result.records:
+        for name in CSV_HEADER.split(","):
+            want = int if name in ("k", "comm_rounds", "grad_calls") else float
+            assert type(getattr(rec, name)) is want, name
+
+
+def test_csv_matches_the_per_value_format():
+    tracked = experiments.run_experiment(_quadratic_config(budget=4)).records
+    untracked = experiments.run_experiment(
+        _quadratic_config(budget=4, record_lyapunov=False)
+    ).records
+    edge = solver.RunRecord(
+        k=123456789, comm_rounds=10**12, grad_calls=0, err_sq_stacked=5e-324,
+        err_sq_mean_block=1.7976931348623157e308, psi_x=-0.0, psi_yz=math.inf,
+    )
+    records = tracked + untracked + [edge]
+    assert math.isnan(untracked[0].psi_x)
+    assert experiments.emit(records) == _per_value_csv(records)
 
 
 def test_csv_floats_roundtrip_exactly():
@@ -437,6 +478,24 @@ def test_sweep_isolates_failed_rows():
     assert rows[1]["status"] == "ok"
 
 
+def test_sweep_marks_a_diverged_row():
+    # gamma * delta >> 2 makes the z relaxation an unstable amplifier
+    cfg = _hard_config(budget=50, param_overrides={"gamma": 1e8, "delta": 1e8})
+    rows = experiments.sweep(cfg, "T", [1, 0])
+    assert [r["status"] for r in rows] == ["diverged", "error"]
+    assert rows[0]["error"].startswith("divergence at iteration")
+
+
+def test_summary_names_the_stop_reason():
+    for overrides, reason in (
+        ({"budget": 3}, "budget"),
+        ({"budget": None, "target_eps": 1e-2}, "converged"),
+    ):
+        summary = experiments.run_experiment(_quadratic_config(**overrides)).summary
+        assert summary["stop_reason"] == reason
+        assert summary["converged"] is (reason == "converged")
+
+
 def test_sweep_axis_validation():
     cfg = _hard_config()
     with pytest.raises(ValueError, match="at least one value"):
@@ -531,6 +590,7 @@ def test_sweep_T_axis():
 def test_budget_only_run_marks_unconverged():
     result = experiments.run_experiment(_hard_config(budget=3, target_eps=1e-30))
     assert result.summary["converged"] is False
+    assert result.summary["stop_reason"] == "budget"
     assert result.summary["iterations"] == 3
 
 
@@ -673,3 +733,19 @@ def test_cli_sweep_prints_why_each_row_failed(tmp_path, capsys):
     assert captured.err.splitlines() == [
         f"error: sweep value {v}: {why}" for v in ("10.0", "100.0")
     ]
+
+
+def test_cli_sweep_names_a_diverged_row(tmp_path, capsys):
+    config = _write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "hard_instance", "chi": 9.0, "L": 16.0, "mu": 1.0,
+                        "d_trunc": 40},
+            "algorithm": {"param_overrides": {"gamma": 1e8, "delta": 1e8}},
+            "stop": {"budget": 50},
+        },
+    )
+    assert cli.main(["sweep", config, "--axis", "T", "--values", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1:] == ["1,diverged,,,"]
+    assert captured.err.startswith("diverged: sweep value 1: divergence at iteration")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -313,9 +314,33 @@ def test_run_converged_names_the_stop_that_fired():
     hit = solver.run(obj, mixing, target_eps=1e-6)
     k = hit.records[-1].k
     assert hit.converged and k > 0
+    assert hit.stop_reason == "converged"
     # a target met on the budget's last iterate still counts
     assert solver.run(obj, mixing, budget=k, target_eps=1e-6).converged
-    assert not solver.run(obj, mixing, budget=k - 1, target_eps=1e-6).converged
+    short = solver.run(obj, mixing, budget=k - 1, target_eps=1e-6)
+    assert not short.converged
+    assert short.stop_reason == "budget"
+
+
+def test_run_below_the_float_floor_stops_stalled():
+    obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
+    mixing = topology.build_mixing(topology.ring_star_schedule(3))
+    start = time.perf_counter()
+    result = solver.run(obj, mixing, target_eps=1e-30)
+    assert time.perf_counter() - start < 2.0
+    assert result.stop_reason == "stalled" and not result.converged
+    # it stalled at the float floor, not on the way down
+    errors = [rec.err_sq_mean_block for rec in result.records]
+    assert min(errors) < 1e-24 * errors[0]
+
+
+def test_run_without_a_budget_stops_at_the_iteration_cap(monkeypatch):
+    obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
+    mixing = topology.build_mixing(topology.ring_star_schedule(3))
+    monkeypatch.setattr(solver, "ITERATION_CAP", 7)
+    result = solver.run(obj, mixing, target_eps=1e-30)
+    assert result.stop_reason == "budget"
+    assert result.records[-1].k == 7
 
 
 def test_run_metering_counts_rounds_and_gradients():
@@ -466,6 +491,120 @@ def test_guard_names_the_first_bad_field(first, second, bad, k, seed):
     assert err.value.field == expected
     assert err.value.k == k
     assert math.isnan(err.value.magnitude) or err.value.magnitude >= 1e101
+
+
+def _workspace_state(state):
+    """A copy of ``state`` whose rows are the first seven of a (10, n, d)
+    workspace, as :func:`solver.run` holds its state."""
+    work = np.zeros((10, *state._buf.shape[1:]))
+    work[:7] = state._buf
+    return solver._wrap(state.k, work[:7]), work
+
+
+@given(case=_fused_cases())
+@settings(max_examples=30)
+def test_step_into_given_buffers_matches_step(case):
+    obj, mixing, params, state, T = case
+    want = solver.step(state, params, obj, mixing, T=T)
+    out = np.full_like(state._buf, np.nan)
+    got = solver.step(state, params, obj, mixing, T=T, out=out)
+    assert got._buf is out
+    assert got.k == want.k and np.array_equal(got._buf, want._buf)
+    inner, work = _workspace_state(state)
+    out = np.full_like(state._buf, np.nan)
+    got = solver.step(inner, params, obj, mixing, T=T, work=work, out=out)
+    assert got._buf is out
+    assert got.k == want.k and np.array_equal(got._buf, want._buf)
+    assert np.array_equal(inner._buf, state._buf)
+
+
+def test_step_rejects_an_out_sharing_memory_with_the_state():
+    obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
+    mixing = topology.build_mixing(topology.ring_star_schedule(3))
+    params = solver.derive_params(obj.L, obj.mu, mixing.chi)
+    state = _random_state(3, 2, seed=1)
+    with pytest.raises(ValueError, match="share no memory"):
+        solver.step(state, params, obj, mixing, out=state._buf)
+    inner, work = _workspace_state(state)
+    with pytest.raises(ValueError, match="share no memory"):
+        solver.step(inner, params, obj, mixing, work=work, out=work[3:])
+
+
+def _bits(record):
+    """A record's fields, floats by their exact bits (NaN equal to NaN)."""
+    return tuple(
+        v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(record)
+    )
+
+
+def _stepwise_run(obj, mixing, T, budget, params, ref, track, collect):
+    """The run loop one public call at a time: ``step`` with no buffers,
+    ``lyapunov`` with none, and each record field by its formula."""
+    state = solver.init_state(obj.n, obj.d)
+    records, trace = [], []
+    while True:
+        x = state.x
+        psi_x = psi_yz = math.nan
+        if track:
+            report = solver.lyapunov(state, params, obj, ref)
+            psi_x, psi_yz = report.psi_x, report.psi_yz
+        gap = x - ref.x
+        mean_gap = x.sum(axis=0) / len(x) - ref.x_bar
+        records.append(solver.RunRecord(
+            k=state.k,
+            comm_rounds=state.k * T,
+            grad_calls=state.k,
+            err_sq_stacked=float(np.vdot(gap, gap)),
+            err_sq_mean_block=float(np.vdot(mean_gap, mean_gap)),
+            psi_x=psi_x,
+            psi_yz=psi_yz,
+        ))
+        if collect:
+            trace.append(x.copy())
+        if state.k >= budget:
+            return records, trace if collect else None, state
+        state = solver.step(state, params, obj, mixing, T=T)
+
+
+@given(
+    kind=st.sampled_from(["quadratic", "logistic"]),
+    n=st.sampled_from([3, 6]),
+    d=st.integers(2, 4),
+    kappa=st.floats(2.0, 100.0),
+    T=st.integers(1, 3),
+    budget=st.integers(0, 25),
+    track=st.booleans(),
+    collect=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_run_matches_the_stepwise_loop(kind, n, d, kappa, T, budget, track,
+                                       collect, seed):
+    if kind == "quadratic":
+        obj = objectives.gen_random_quadratic(n, d, L=kappa, mu=1.0, seed=seed)
+        schedule = topology.star_cycle_schedule(n)
+    else:
+        obj = objectives.gen_synthetic_logistic(n, 8, d, seed=seed, kappa=kappa)
+        schedule = topology.ring_star_schedule(n)
+    mixing = topology.build_mixing(schedule)
+    params = solver.derive_params(obj.L, obj.mu, solver.effective_chi(mixing.chi, T))
+    ref = solver.make_reference(obj, params.nu)
+    result = solver.run(
+        obj, mixing, T=T, budget=budget, params=params, reference=ref,
+        track_lyapunov=track, collect_trace=collect,
+    )
+    records, trace, state = _stepwise_run(
+        obj, mixing, T, budget, params, ref, track, collect
+    )
+    assert [_bits(r) for r in result.records] == [_bits(r) for r in records]
+    assert result.state.k == state.k
+    assert np.array_equal(result.state._buf, state._buf)
+    if collect:
+        assert len(result.trace) == len(trace)
+        for got, want in zip(result.trace, trace):
+            assert np.array_equal(got, want)
+    else:
+        assert result.trace is None
 
 
 # --- The names the benchmark tracer wraps ----------------------------------
