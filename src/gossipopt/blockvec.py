@@ -56,11 +56,15 @@ def mix(w, v):
 def project_consensus(v, out=None):
     """Orthogonal projection onto the zero-block-sum subspace.
 
-    Subtracts the block mean from every block; idempotent. ``out``, an
-    array of v's shape, receives the result when given.
+    Subtracts the block mean from every block; idempotent. ``v`` is one
+    distributed vector (n, d) or several stacked along leading axes
+    (..., n, d), each projected on its own. ``out``, an array of v's shape,
+    receives the result when given.
     """
-    v = as_blocks(v)
-    return np.subtract(v, v.sum(axis=0) / len(v), out=out)
+    v = np.asarray(v, dtype=float)
+    if v.ndim < 2:
+        raise ValueError(f"distributed vector must be (..., n, d), got shape {v.shape}")
+    return np.subtract(v, v.sum(axis=-2, keepdims=True) / v.shape[-2], out=out)
 
 
 def multi_mix(mixing, k, T, v):

@@ -6,7 +6,9 @@ stored once with each label folded into its feature row, and quadratics
 whose curvature matrices are shared by equal, contiguous groups of nodes
 (down to one node per group). Both evaluate all n nodes at once with
 batched matmuls: ``grad`` and ``value`` take stacked (n, d) points, and
-``mean_grad`` and ``mean_hessian`` take one point in R^d.
+``mean_grad`` and ``mean_hessian`` take one point in R^d. ``value`` also
+takes points stacked along leading axes, (..., n, d), and returns one total
+per point, each with the bits of its own call.
 ``reference_minimizer`` runs Newton's method on the averaged objective with
 those two, and reaches its minimizer to the float floor in a few steps.
 """
@@ -109,6 +111,13 @@ class QuadraticObjectives:
         )
 
     def value(self, x):
+        """Total over the nodes at an (n, d) point, as a float; at a stack
+        of points (..., n, d), an array of the totals, one call per point."""
+        if x.ndim > 2:
+            return np.array([self._total(p) for p in _points(x)]).reshape(x.shape[:-2])
+        return self._total(x)
+
+    def _total(self, x):
         return float(
             0.5 * np.vdot(x, self._curvature(x))
             + np.vdot(self.lin, x)
@@ -172,13 +181,19 @@ class LogisticObjectives:
         self.mu = self.reg
 
     def _margins(self, x):
-        """t_ij = -b_ij a_ij'x for every node: shape (n, m)."""
-        return (self._signed @ x[:, :, None])[..., 0]
+        """t_ij = -b_ij a_ij'x for every node of every point (..., n, d):
+        shape (..., n, m)."""
+        return (self._signed @ x[..., None])[..., 0]
 
     def value(self, x):
+        """Total over the nodes at an (n, d) point, as a float; at a stack
+        of points (..., n, d), an array of the totals."""
         t = self._margins(x)
         losses = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-        return float(losses.sum() / self.m + 0.5 * self.reg * np.vdot(x, x))
+        if x.ndim == 2:
+            return float(losses.sum() / self.m + 0.5 * self.reg * np.vdot(x, x))
+        sq = np.array([np.vdot(p, p) for p in _points(x)]).reshape(x.shape[:-2])
+        return losses.sum(axis=(-2, -1)) / self.m + 0.5 * self.reg * sq
 
     def grad(self, x):
         s = expit(self._margins(x))
@@ -195,6 +210,13 @@ class LogisticObjectives:
         s = expit(-np.abs(signed @ x))
         weighted = signed.T * (s * (1.0 - s))
         return weighted @ signed / (self.m * self.n) + self.reg * np.eye(self.d)
+
+
+def _points(x):
+    """The (n, d) points of a stack (..., n, d), one at a time. A stacked
+    ``value`` takes each dot product over a point with one ``vdot``, as at a
+    single point, and so keeps the bits of the per-point calls."""
+    return x.reshape((-1,) + x.shape[-2:])
 
 
 def gen_synthetic_logistic(n, m, d, seed, kappa):

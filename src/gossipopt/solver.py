@@ -15,8 +15,12 @@ and the two mixed payloads, so each ``Params`` derives their coefficients
 once, by running the rules on unit vectors. An iteration is then three small
 coefficient products around one gradient call and one ``mix``; the last is
 one (7, 10) product of a workspace holding the seven rows, the gradient and
-the mixed payloads. :func:`run` allocates that workspace, and the buffer the
-next iterate is written to, once per run.
+the mixed payloads.
+
+:func:`run` allocates that workspace once per run, with a history of the
+last K iterates. It takes the errors its stop rules read at every iterate,
+and the potential of :func:`lyapunov` once per block of K iterates, in one
+pass, so the potential's numpy calls are paid per block, not per iterate.
 
 A run ends with a named stop reason: the error target was met
 (``converged``), the budget or the iteration cap ran out (``budget``), or
@@ -76,6 +80,11 @@ DIVERGENCE_LIMIT = 1e100
 STALL_WINDOW = 8.0
 STALL_FACTOR = 0.5
 ITERATION_CAP = 1_000_000
+
+# run takes the potential of K iterates in one pass, K as many (7, n, d)
+# iterates as BLOCK_BYTES holds, and at least one: 11 at n d = 200, and 1
+# from n d = 1171 up, where an iterate's arithmetic outweighs its calls.
+BLOCK_BYTES = 128 * 1024
 
 # Errors the target test can read; see the ``stop_metric`` of :func:`run`.
 STOP_METRICS = ("mean_block", "stacked")
@@ -435,55 +444,76 @@ def lyapunov(state, params, objectives, reference, *, diff=None):
     every distance the potential measures once three rows are combined in
     place; one reduction then takes the seven squared norms.
 
-    ``diff``, a (7, n, d) array allocated when omitted, receives those
-    difference rows; its row 0 is left holding ``x - x*``, which
-    :func:`run`'s record reads from it.
+    The state's buffer is one iterate, (7, n, d), for which a
+    :class:`LyapunovReport` is returned, or a block of iterates stacked
+    along a leading axis, (B, 7, n, d), for which a list of B reports is
+    returned. A block costs about the numpy calls of one iterate: one
+    stacked ``objectives.value`` of its x_f points, one difference and
+    projection over the block, one reduction for its 7B squared norms, and
+    one ``vdot`` per iterate with ``grad_star``. Each iterate's report then
+    follows from its own floats, so it has the bits of a call on that
+    iterate alone.
+
+    ``diff``, an array of the buffer's shape, receives the difference rows.
+    When it is given, its rows 0 to 2 must already hold x, y and z minus
+    their saddle values: :func:`run` takes those rows at every iterate, for
+    the error it reads from row 0, and passes its history as both the
+    state's buffer and ``diff``, so the iterates turn into their difference
+    rows in place. When omitted, it is allocated and filled whole.
     """
     p = params
     ref = reference
 
     buf = state._buf
+    xyz_gaps_given = diff is not None
     if diff is None:
         diff = np.empty_like(buf)
-    np.subtract(buf[:3], ref._xyz, out=diff[:3])
-    np.subtract(buf[4:], ref._xyz, out=diff[4:])
-    blockvec.project_consensus(buf[3], out=diff[3])  # the buffer's zero-sum part
-    diff[2] -= diff[3]  # z_hat = z - that part
-    diff[6] += diff[5]  # y_f + z_f
-    flat = diff.reshape(7, -1)
-    sq_x, sq_y, sq_zhat, sq_m, sq_xf, sq_yf, sq_coupled = np.einsum(
-        "ri,ri->r", flat, flat
-    ).tolist()
+    rows, gaps, xyz = buf, diff, ref._xyz
+    if buf.ndim == 4:
+        # Row-major views of the block, so each row is one plain index.
+        rows, gaps, xyz = buf.swapaxes(0, 1), diff.swapaxes(0, 1), xyz[:, None]
+    if not xyz_gaps_given:
+        np.subtract(rows[:3], xyz, out=gaps[:3])
+    # Read x_f before diff, which may be the same memory, overwrites it.
+    values = objectives.value(rows[4])
+    values = [values] if buf.ndim == 3 else values.tolist()
+    np.subtract(rows[4:], xyz, out=gaps[4:])
+    blockvec.project_consensus(rows[3], out=gaps[3])  # m's zero-sum part
+    gaps[2] -= gaps[3]  # z_hat = z - that part
+    gaps[6] += gaps[5]  # y_f + z_f
+    flat = diff.reshape(-1, buf.shape[-2] * buf.shape[-1])
+    norms = iter(np.einsum("ri,ri->r", flat, flat).tolist())
 
-    d_f = (
-        objectives.value(state.x_f)
-        - ref.f_star
-        - float(np.vdot(ref.grad_star, diff[4]))
-    )
-    x_dist = (1.0 / p.eta + p.alpha) * sq_x
-    x_bregman = (2.0 / p.tau2) * (d_f - 0.5 * p.nu * sq_xf)
-    psi_x = x_dist + x_bregman
+    reports = []
+    # Each iterate's seven squared norms, its x_f - x* row and its value.
+    for squares, xf_gap, value in zip(zip(*[norms] * 7), flat[4::7], values):
+        sq_x, sq_y, sq_zhat, sq_m, sq_xf, sq_yf, sq_coupled = squares
+        d_f = value - ref.f_star - float(np.vdot(ref.grad_star, xf_gap))
+        x_dist = (1.0 / p.eta + p.alpha) * sq_x
+        x_bregman = (2.0 / p.tau2) * (d_f - 0.5 * p.nu * sq_xf)
+        psi_x = x_dist + x_bregman
 
-    y_dist = (1.0 / p.theta + 0.5 * p.beta) * sq_y
-    yf_dist = (0.5 * p.beta / p.sigma2) * sq_yf
-    zhat_dist = (1.0 / p.gamma) * sq_zhat
-    m_proj = (4.0 / (3.0 * p.gamma)) * sq_m
-    coupled = (1.0 / (p.nu * p.sigma2)) * sq_coupled
-    psi_yz = y_dist + yf_dist + zhat_dist + m_proj + coupled
+        y_dist = (1.0 / p.theta + 0.5 * p.beta) * sq_y
+        yf_dist = (0.5 * p.beta / p.sigma2) * sq_yf
+        zhat_dist = (1.0 / p.gamma) * sq_zhat
+        m_proj = (4.0 / (3.0 * p.gamma)) * sq_m
+        coupled = (1.0 / (p.nu * p.sigma2)) * sq_coupled
+        psi_yz = y_dist + yf_dist + zhat_dist + m_proj + coupled
 
-    return LyapunovReport(
-        psi_x=psi_x,
-        psi_yz=psi_yz,
-        components={
-            "x_dist": x_dist,
-            "x_bregman": x_bregman,
-            "y_dist": y_dist,
-            "yf_dist": yf_dist,
-            "zhat_dist": zhat_dist,
-            "m_proj": m_proj,
-            "coupled": coupled,
-        },
-    )
+        reports.append(LyapunovReport(
+            psi_x=psi_x,
+            psi_yz=psi_yz,
+            components={
+                "x_dist": x_dist,
+                "x_bregman": x_bregman,
+                "y_dist": y_dist,
+                "yf_dist": yf_dist,
+                "zhat_dist": zhat_dist,
+                "m_proj": m_proj,
+                "coupled": coupled,
+            },
+        ))
+    return reports[0] if buf.ndim == 3 else reports
 
 
 @dataclass(frozen=True)
@@ -532,25 +562,23 @@ def _guard(state):
             raise DivergenceError(state.k, peak, name)
 
 
-def _record(state, params, objectives, reference, T, track_lyapunov, diff):
-    """The record of ``state``; ``diff`` (7, n, d) is scratch whose row 0
-    takes ``x - x*``, from :func:`lyapunov` when it runs."""
-    x = state.x
-    if track_lyapunov:
-        report = lyapunov(state, params, objectives, reference, diff=diff)
-        psi_x, psi_yz = report.psi_x, report.psi_yz
+def _flush(records, pending, history, T, lyapunov_args):
+    """Append the records of the ``pending`` iterates, (k, err_sq_stacked,
+    err_sq_mean_block) each, which sit in the first slots of ``history``;
+    with ``lyapunov_args``, their potential comes from one :func:`lyapunov`
+    pass over those slots."""
+    count = len(pending)
+    if lyapunov_args:
+        # One iterate goes as a (7, n, d) buffer: numpy loops over a leading
+        # axis of length one more slowly than over none.
+        block = history[0] if count == 1 else history[:count]
+        reports = lyapunov(_wrap(pending[0][0], block), *lyapunov_args, diff=block)
+        psis = [(r.psi_x, r.psi_yz) for r in ([reports] if count == 1 else reports)]
     else:
-        np.subtract(x, reference.x, out=diff[0])
-        psi_x = psi_yz = float("nan")
-    return RunRecord(
-        k=state.k,
-        comm_rounds=state.k * T,
-        grad_calls=state.k,
-        err_sq_stacked=_sqnorm(diff[0]),
-        err_sq_mean_block=_sqnorm(x.sum(axis=0) / len(x) - reference.x_bar),
-        psi_x=psi_x,
-        psi_yz=psi_yz,
-    )
+        psis = [(math.nan, math.nan)] * count
+    for (k, stacked, mean_block), (psi_x, psi_yz) in zip(pending, psis):
+        records.append(RunRecord(k, k * T, k, stacked, mean_block, psi_x, psi_yz))
+    pending.clear()
 
 
 def run(
@@ -595,10 +623,16 @@ def run(
         Keep a copy of every x iterate (needed by the run certifier).
 
     The run allocates its buffers once: a (10, n, d) workspace holding the
-    state's rows and :func:`step`'s scratch rows, and a (7, n, d) buffer
-    that first takes :func:`lyapunov`'s difference rows, from which the
-    record reads ``x - x*``, and then the next iterate, which is copied back
-    into the workspace.
+    state's rows and :func:`step`'s scratch rows, and a (K, 7, n, d)
+    history. Each step writes the next iterate into the history's next
+    slot, from which it is copied back into the workspace. At every
+    iterate, x, y and z minus their saddle values go into the iterate's
+    slot, and the two errors the stop rules read are taken. When the
+    history is full, when the run stops and before a divergence is raised,
+    one :func:`lyapunov` call takes the potential of the iterates it
+    holds, turning them into difference rows in place, and their records
+    are built. K is ``max(1, BLOCK_BYTES // (7 n d 8))`` with the potential
+    tracked, else 1.
 
     Returns
     -------
@@ -630,21 +664,27 @@ def run(
         objectives.L / objectives.mu
     )
 
-    work = np.zeros((10, objectives.n, objectives.d))
+    n, d = objectives.n, objectives.d
+    size = max(1, BLOCK_BYTES // (7 * n * d * 8)) if track_lyapunov else 1
+    lyapunov_args = (params, objectives, reference) if track_lyapunov else ()
+    work = np.zeros((10, n, d))
     state = _wrap(0, work[:7])
-    nxt = np.empty_like(state._buf)
-    records = []
+    history = np.empty((size, 7, n, d))
+    history[0] = state._buf
+    slots = list(history)
+    records, pending = [], []
     trace = [state.x.copy()] if collect_trace else None
     low, low_k = math.inf, 0
 
     while True:
-        rec = _record(state, params, objectives, reference, T, track_lyapunov, nxt)
-        records.append(rec)
-        err = (
-            rec.err_sq_mean_block
-            if stop_metric == "mean_block"
-            else rec.err_sq_stacked
-        )
+        # The iterate's own slot takes x, y, z minus their saddle values,
+        # for the error here and for the potential pass.
+        x, gaps = state.x, slots[len(pending)][:3]
+        np.subtract(work[:3], reference._xyz, out=gaps)
+        stacked = _sqnorm(gaps[0])
+        mean_block = _sqnorm(x.sum(axis=0) / len(x) - reference.x_bar)
+        pending.append((state.k, stacked, mean_block))
+        err = mean_block if stop_metric == "mean_block" else stacked
         reason = None
         if target_eps is not None:
             if err <= target_eps:
@@ -655,15 +695,20 @@ def run(
                 reason = "stalled"
         if reason is None and state.k >= limit:
             reason = "budget"
+        if reason is not None or len(pending) == size:
+            _flush(records, pending, history, T, lyapunov_args)
         if reason is not None:
             break
+        nxt = slots[len(pending)]
         step(state, params, objectives, mixing, T=T, work=work, out=nxt)
         work[:7] = nxt
         state.k += 1
         try:
             _guard(state)
         except DivergenceError as err:
-            err.last_record = rec
+            if pending:
+                _flush(records, pending, history, T, lyapunov_args)
+            err.last_record = records[-1]
             raise
         if collect_trace:
             trace.append(state.x.copy())

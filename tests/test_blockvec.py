@@ -47,6 +47,19 @@ def test_project_consensus_examples():
     )
 
 
+def test_project_consensus_projects_each_vector_of_a_stack():
+    rng = np.random.default_rng(2)
+    stack = rng.standard_normal((3, 7, 5, 2))[:, 3]  # strided, as in a history
+    got = blockvec.project_consensus(stack)
+    for v, p in zip(stack, got):
+        assert np.array_equal(p, blockvec.project_consensus(v))
+    out = np.empty_like(stack)
+    assert blockvec.project_consensus(stack, out=out) is out
+    assert np.array_equal(out, got)
+    with pytest.raises(ValueError, match=r"\(\.\.\., n, d\)"):
+        blockvec.project_consensus(np.zeros(4))
+
+
 def test_project_consensus_idempotent_and_orthogonal():
     rng = np.random.default_rng(1)
     for _ in range(10):

@@ -387,6 +387,27 @@ def test_logistic_oracle_matches_per_node_reference(case):
 
 
 @settings(max_examples=100)
+@given(
+    case=st.one_of(_logistic_cases(), _grouped_quadratics()),
+    count=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_value_matches_each_point_bit_for_bit(case, count, seed):
+    # The solver's potential evaluates x_f of a block of iterates as a
+    # strided view of its (count, 7, n, d) history: one point per iterate.
+    obj, x = case
+    rng = np.random.default_rng(seed)
+    history = x * rng.uniform(0.5, 2.0, (count, 7, 1, 1))
+    history += rng.standard_normal(history.shape)
+    for stack in (history[:, 4], history[:, 4:6], history[:, 4:6].swapaxes(0, 1)):
+        got = obj.value(stack)
+        assert got.shape == stack.shape[:-2]
+        want = [obj.value(np.ascontiguousarray(p)) for p in stack.reshape(-1, obj.n, obj.d)]
+        assert got.ravel().tolist() == want
+    assert isinstance(obj.value(history[0, 4]), float)
+
+
+@settings(max_examples=100)
 @given(st.one_of(_logistic_cases(), _grouped_quadratics()))
 def test_mean_hessian_matches_per_node_reference(case):
     obj, x = case

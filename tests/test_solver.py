@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -362,6 +363,12 @@ def test_run_requires_stop_criterion():
         solver.run(obj, mixing, budget=5, stop_metric="nope")
 
 
+def _block_bytes(block, obj):
+    """A BLOCK_BYTES that makes run's potential blocks ``block`` iterates
+    long on ``obj``."""
+    return block * 7 * obj.n * obj.d * 8
+
+
 def test_divergence_guard_reports_iteration():
     obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
     mixing = topology.build_mixing(topology.ring_star_schedule(3))
@@ -369,14 +376,25 @@ def test_divergence_guard_reports_iteration():
     params = solver.derive_params(obj.L, obj.mu, mixing.chi).override(
         gamma=1e8, delta=1e8
     )
-    with pytest.raises(solver.DivergenceError) as err:
-        solver.run(obj, mixing, budget=50, params=params)
-    assert err.value.k >= 1
-    assert err.value.field == "z"
-    assert "|z|" in str(err.value)
-    last = err.value.last_record
-    assert last.k == err.value.k - 1
-    assert math.isfinite(last.err_sq_stacked)
+    state = solver.init_state(obj.n, obj.d)
+    for _ in range(7):
+        state = solver.step(state, params, obj, mixing)
+    want = solver.lyapunov(state, params, obj, solver.make_reference(obj, params.nu))
+    # It diverges at k = 8: in the middle of the default block and of a
+    # 3-iterate one, at the start of a 4-iterate one.
+    for block in (None, 1, 3, 4):
+        block_bytes = solver.BLOCK_BYTES if block is None else _block_bytes(block, obj)
+        with mock.patch.object(solver, "BLOCK_BYTES", block_bytes):
+            with pytest.raises(solver.DivergenceError) as err:
+                solver.run(obj, mixing, budget=50, params=params, track_lyapunov=True)
+        assert err.value.k == 8
+        assert err.value.field == "z"
+        assert "|z|" in str(err.value)
+        last = err.value.last_record
+        assert last.k == err.value.k - 1
+        assert math.isfinite(last.err_sq_stacked)
+        assert (last.psi_x, last.psi_yz) == (want.psi_x, want.psi_yz)
+        assert math.isfinite(last.psi_x) and math.isfinite(last.psi_yz)
 
 
 # --- The fused iteration against the per-field rules -----------------------
@@ -573,13 +591,17 @@ def _stepwise_run(obj, mixing, T, budget, params, ref, track, collect):
     kappa=st.floats(2.0, 100.0),
     T=st.integers(1, 3),
     budget=st.integers(0, 25),
+    block=st.sampled_from([None, 1, 2, 3, 5]),
     track=st.booleans(),
     collect=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-@settings(max_examples=40, deadline=None)
-def test_run_matches_the_stepwise_loop(kind, n, d, kappa, T, budget, track,
-                                       collect, seed):
+@settings(max_examples=60, deadline=None)
+def test_run_matches_the_stepwise_loop(kind, n, d, kappa, T, budget, block,
+                                       track, collect, seed):
+    # ``block`` sets how many iterates share one potential pass (None: the
+    # default, more than any budget here), so blocks fill, and the run stops
+    # or ends in the middle of one.
     if kind == "quadratic":
         obj = objectives.gen_random_quadratic(n, d, L=kappa, mu=1.0, seed=seed)
         schedule = topology.star_cycle_schedule(n)
@@ -589,10 +611,12 @@ def test_run_matches_the_stepwise_loop(kind, n, d, kappa, T, budget, track,
     mixing = topology.build_mixing(schedule)
     params = solver.derive_params(obj.L, obj.mu, solver.effective_chi(mixing.chi, T))
     ref = solver.make_reference(obj, params.nu)
-    result = solver.run(
-        obj, mixing, T=T, budget=budget, params=params, reference=ref,
-        track_lyapunov=track, collect_trace=collect,
-    )
+    block_bytes = solver.BLOCK_BYTES if block is None else _block_bytes(block, obj)
+    with mock.patch.object(solver, "BLOCK_BYTES", block_bytes):
+        result = solver.run(
+            obj, mixing, T=T, budget=budget, params=params, reference=ref,
+            track_lyapunov=track, collect_trace=collect,
+        )
     records, trace, state = _stepwise_run(
         obj, mixing, T, budget, params, ref, track, collect
     )
@@ -611,22 +635,26 @@ def test_run_matches_the_stepwise_loop(kind, n, d, kappa, T, budget, track,
 
 
 def test_run_calls_the_traced_names_once_per_iteration(monkeypatch):
-    obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
-    mixing = topology.build_mixing(topology.ring_star_schedule(3))
-    # Building a compound operator mixes the identity; build them beforehand.
-    for k in range(mixing.cycle):
-        mixing.compound(k, 2)
-    for track in (True, False):
-        calls = {"step": 0, "lyapunov": 0, "mix": 0}
-        for owner, name in ((solver, "step"), (solver, "lyapunov"), (blockvec, "mix")):
-            def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(owner, name, counted)
-        result = solver.run(obj, mixing, T=2, budget=5, track_lyapunov=track)
-        monkeypatch.undo()
-        assert len(result.records) == 6
-        assert calls == {"step": 5, "lyapunov": 6 if track else 0, "mix": 5}
+    # step and mix run once per iteration, lyapunov once per block of
+    # iterates. At 3 x 2 a block holds all six; at 30 x 80 one iterate's
+    # seven rows exceed BLOCK_BYTES, so a block is one iterate.
+    for n, d, blocks in ((3, 2, 1), (30, 80, 6)):
+        obj = objectives.gen_random_quadratic(n, d, L=5.0, mu=1.0, seed=5)
+        mixing = topology.build_mixing(topology.ring_star_schedule(n))
+        # Building a compound operator mixes the identity; build them first.
+        for k in range(mixing.cycle):
+            mixing.compound(k, 2)
+        for track in (True, False):
+            calls = {"step": 0, "lyapunov": 0, "mix": 0}
+            for owner, name in ((solver, "step"), (solver, "lyapunov"), (blockvec, "mix")):
+                def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(owner, name, counted)
+            result = solver.run(obj, mixing, T=2, budget=5, track_lyapunov=track)
+            monkeypatch.undo()
+            assert len(result.records) == 6
+            assert calls == {"step": 5, "lyapunov": blocks if track else 0, "mix": 5}
 
 
 def test_make_reference_solves_through_the_solver_name(monkeypatch):

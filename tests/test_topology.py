@@ -414,3 +414,31 @@ def test_compound_build_product_count(monkeypatch):
     assert 0 < len(products) <= mixing.cycle + rest + 2 * whole.bit_length()
     want = _per_round_mix(mixing, 1, T, np.eye(100))
     assert np.linalg.norm(op - want) <= 1e-12 * np.linalg.norm(np.eye(100))
+
+
+def _worst_zero_sum_ratio(op):
+    """Largest ||(op - I) v||^2 / ||v||^2 over zero-sum v, from the spectrum
+    as ``validate_gossip`` takes it."""
+    n = len(op)
+    p0 = np.eye(n) - np.full((n, n), 1.0 / n)
+    m = op - np.eye(n)
+    return float(np.linalg.eigvalsh(p0 @ (m.T @ m) @ p0)[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    radius=st.floats(0.05, math.sqrt(2.0)),
+    pool_size=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 14),
+)
+def test_random_geometric_mixing_meets_the_gossip_axioms(n, radius, pool_size, seed, T):
+    sched = topology.random_geometric_schedule(n, radius, pool_size, seed)
+    mixing = topology.build_mixing(sched)
+    for q in range(sched.cycle):
+        report = topology.validate_gossip(mixing.w(q), sched.edges(q), mixing.chi)
+        assert report.passed, report
+    bound = (1.0 - 1.0 / mixing.chi) ** T + 1e-12
+    for k in range(sched.cycle):
+        assert _worst_zero_sum_ratio(mixing.compound(k, T)) <= bound
