@@ -71,7 +71,11 @@ def _is_number(value, kind=numbers.Real):
 
 
 def _check_numbers(name, section):
-    """Reject a section that is not an object of numbers besides its kind."""
+    """Reject a section that is not an object of numbers besides its kind.
+
+    A seed must also be >= 0; numpy would reject it only once the run builds
+    the problem or the pool.
+    """
     if not isinstance(section, dict):
         raise ValueError(
             f"config section {name!r} must be a JSON object, got {section!r}"
@@ -83,6 +87,8 @@ def _check_numbers(name, section):
         if not _is_number(value, numbers.Integral if integer else numbers.Real):
             what = "an integer" if integer else "a number"
             raise ValueError(f"{name} key {key!r} must be {what}, got {value!r}")
+        if key == "seed" and value < 0:
+            raise ValueError(f"{name} key 'seed' must be >= 0, got {value!r}")
 
 
 @dataclass

@@ -22,7 +22,9 @@ fast repeated gossip rounds contract disagreement between nodes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +36,6 @@ __all__ = [
     "ValidationReport",
     "ring_edges",
     "star_edges",
-    "random_geometric_edges",
     "ring_star_schedule",
     "star_cycle_schedule",
     "random_geometric_schedule",
@@ -50,12 +51,31 @@ __all__ = [
 # numerical noise: a second eigenvalue at or below it means disconnected.
 EIGENVALUE_FLOOR = 1e-9
 
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier, as four little-endian 32-bit limbs.
+_PCG_MULT = [
+    (0x2360ED051FC65DA44385DF649FCCF645 >> s) & _MASK32 for s in (0, 32, 64, 96)
+]
+
 
 def _pairs(edges, n):
-    """Edge list as an (m, 2) integer array; every endpoint must be in [0, n)."""
-    if not isinstance(edges, np.ndarray):
-        edges = list(edges)
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    """Edge list as an (m, 2) integer array; every endpoint must be in [0, n).
+
+    An array must have shape (m, 2); any other edge list is read as a
+    sequence of pairs. Either way an edge that is not a pair is an error.
+    """
+    if isinstance(edges, np.ndarray):
+        pairs = edges.astype(np.int64, copy=False)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+    else:
+        edges = tuple(edges)
+        if set(map(len, edges)) - {2}:
+            raise ValueError("every edge must be a pair of nodes")
+        flat = chain.from_iterable(edges)
+        pairs = np.fromiter(flat, np.int64, count=2 * len(edges)).reshape(-1, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("every edge must be a pair of nodes")
     if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
         raise ValueError(f"edge endpoint out of range for n={n}")
     return pairs
@@ -65,10 +85,16 @@ def _canonical(edges, n):
     """Sorted tuple of (i, j) pairs with i < j and duplicates removed.
 
     Each pair is keyed as ``i * n + j`` once its ends are ordered, so one
-    ``np.unique`` sorts and dedupes; the pairs come back as Python ints.
+    sort orders the pairs and a neighbour comparison drops the repeats
+    (``np.unique`` does the same in several times the time); the pairs come
+    back as Python ints.
     """
     pairs = _pairs(edges, n)
-    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    i, j = pairs[:, 0], pairs[:, 1]
+    keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
+    keep = np.ones(keys.size, dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    keys = keys[keep]
     return tuple(zip((keys // n).tolist(), (keys % n).tolist()))
 
 
@@ -88,18 +114,159 @@ def star_edges(n, center=0):
     return _canonical([(center, j) for j in range(n) if j != center], n)
 
 
+def _words(value):
+    """Little-endian 32-bit words of an int >= 0, as ``SeedSequence`` splits it."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _mul_add(a, m, c):
+    """``(a * m + c) mod 2**128`` on four little-endian 32-bit limbs.
+
+    ``a`` and ``c`` are lists of uint64 arrays holding limbs below 2**32,
+    ``m`` a list of int limbs. Each 32 x 32-bit product is split into its
+    halves before the columns are summed, so no uint64 sum overflows.
+    """
+    cols = list(c)
+    for i in range(4):
+        for j in range(4 - i):
+            p = a[i] * m[j]
+            cols[i + j] = cols[i + j] + (p & _MASK32)
+            if i + j < 3:
+                cols[i + j + 1] = cols[i + j + 1] + (p >> 32)
+    out, carry = [], 0
+    for col in cols:
+        col = col + carry
+        out.append(col & _MASK32)
+        carry = col >> 32
+    return out
+
+
+def _unit_square_points(seed, indices, n):
+    """Coordinates of n nodes for each graph index, shape (len(indices), n, 2).
+
+    Row ``[g, i]`` is ``np.random.default_rng([seed, indices[g], i]).random(2)``
+    bit for bit, computed for every key at once in uint32/uint64 arithmetic:
+    ``SeedSequence`` mixes the key's entropy words (pool size 4) and
+    generates four 64-bit words, which seed PCG64 (O'Neill 2014,
+    XSL-RR 128/64); each draw is its next output's top 53 bits times 2**-53.
+    Both algorithms are fixed, and numpy keeps their streams stable. Every
+    index must split into as many 32-bit words as the others; indices below
+    2**32 all do.
+    """
+    heads = np.array([_words(seed) + _words(g) for g in indices], np.uint32)
+    width = heads.shape[1] + 1
+    entropy = np.empty((len(heads), n, width), np.uint32)
+    entropy[:, :, :-1] = heads[:, None, :]
+    entropy[:, :, -1] = np.arange(n)
+    entropy = entropy.reshape(-1, width)
+
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = x * 0xCA01F9DD - y * 0x4973F715
+        return out ^ (out >> 16)
+
+    # A key shorter than the pool hashes zeros in place of its missing words.
+    zeros = np.zeros(len(entropy), np.uint32)
+    pool = [hashmix(entropy[:, i] if i < width else zeros) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, width):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    hash_const = 0x8B51F9DD
+    state = []
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const
+        state.append((value ^ (value >> 16)).astype(np.uint64))
+    # The words pair up little-endian into 64-bit words w0..w3; PCG64 takes
+    # initstate = w0 * 2**64 + w1 and initseq = w2 * 2**64 + w3.
+    initstate = [state[2], state[3], state[0], state[1]]
+    initseq = [state[6], state[7], state[4], state[5]]
+    # inc = 2 initseq + 1: each limb takes the top bit of the one below.
+    carried = [1] + [limb >> 31 for limb in initseq[:3]]
+    inc = [(limb << 1) & _MASK32 | bit for limb, bit in zip(initseq, carried)]
+    # Seeding: state 0, one step (state = inc), add initstate, one step.
+    rng = _mul_add(initstate, [1, 0, 0, 0], inc)
+    rng = _mul_add(rng, _PCG_MULT, inc)
+    draws = []
+    for _ in range(2):
+        rng = _mul_add(rng, _PCG_MULT, inc)
+        folded = (rng[3] << 32 | rng[2]) ^ (rng[1] << 32 | rng[0])
+        rot = rng[3] >> 26
+        out = folded >> rot | folded << ((64 - rot) & 63)
+        draws.append((out >> 11).astype(float) * 2.0**-53)
+    return np.stack(draws, axis=-1).reshape(len(heads), n, 2)
+
+
+def _random_geometric_pool(n, radius, seed, indices):
+    """Edge sets of the graphs ``indices`` of a random-geometric pool.
+
+    The coordinates of every graph are drawn in one call; the distances,
+    thresholds and bridges are then taken one graph at a time.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if not 0.0 < radius <= math.sqrt(2.0):
+        raise ValueError(f"radius must be in (0, sqrt(2)], got {radius}")
+    seed, indices = operator.index(seed), [operator.index(g) for g in indices]
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if min(indices) < 0:
+        raise ValueError(f"graph index must be >= 0, got {min(indices)}")
+    pool = []
+    for coords in _unit_square_points(seed, indices, n):
+        x, y = coords.T
+        dx, dy = x[:, None] - x, y[:, None] - y
+        adjacent = np.sqrt(dx * dx + dy * dy) < radius
+        rows, cols = np.nonzero(np.triu(adjacent, 1))
+
+        # Min-label fixed point: each pass gives a node the least label among
+        # itself and its neighbours, then that label's own label.
+        label, lower = None, np.arange(n)
+        while not np.array_equal(lower, label):
+            label = lower
+            lower = np.where(adjacent, label, n).min(axis=1)
+            lower = lower[lower]
+        minima = np.flatnonzero(label == np.arange(n))[1:]
+        rows = np.concatenate([rows, minima - 1])
+        cols = np.concatenate([cols, minima])
+        pool.append(_canonical(np.column_stack([rows, cols]), n))
+    return tuple(pool)
+
+
 def random_geometric_edges(n, radius, seed, index):
     """One connected random geometric graph on the unit square.
 
-    Node coordinates are drawn from a counter-based generator keyed by
-    ``(seed, index, node)``, so the graph is a pure function of its arguments
-    and reproducible across platforms. Pairs closer than ``radius`` are
-    connected. If the threshold graph is disconnected, it is bridged along
-    the index path: the lowest-index node ``m > 0`` of each component is
-    joined to its predecessor by the edge ``(m - 1, m)``, the minimum number
-    of edges that connects it. Component minima are found by labelling
-    every node with the smallest index it can reach, iterated to a fixed
-    point on the threshold matrix.
+    Graph ``index`` of ``random_geometric_schedule(n, radius, pool_size,
+    seed)``, built by the same path on a pool of one graph. Node ``i`` sits
+    at ``np.random.default_rng([seed, index, i]).random(2)``: the
+    coordinates are drawn in one vectorized ``SeedSequence``/PCG64 pass
+    that equals that generator bit for bit, so the graph is a pure function
+    of its arguments and reproducible across platforms. Pairs closer than
+    ``radius`` are connected. If the threshold graph is disconnected, it is
+    bridged along the index path: the lowest-index node ``m > 0`` of each
+    component is joined to its predecessor by the edge ``(m - 1, m)``, the
+    minimum number of edges that connects it. Component minima are found by
+    labelling every node with the smallest index it can reach, iterated to
+    a fixed point on the threshold matrix.
 
     Parameters
     ----------
@@ -108,39 +275,16 @@ def random_geometric_edges(n, radius, seed, index):
     radius : float
         Connection radius, in (0, sqrt(2)].
     seed : int
-        Base seed of the schedule.
+        Base seed of the schedule, >= 0.
     index : int
-        Position of this graph within the schedule's pool.
+        Position of this graph within the schedule's pool, >= 0.
 
     Returns
     -------
     tuple of (int, int)
         Canonical edge list of a connected graph.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 0.0 < radius <= math.sqrt(2.0):
-        raise ValueError(f"radius must be in (0, sqrt(2)], got {radius}")
-    coords = np.empty((n, 2))
-    for i in range(n):
-        coords[i] = np.random.default_rng([seed, index, i]).random(2)
-
-    diffs = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diffs**2).sum(axis=2))
-    adjacent = dist < radius
-    rows, cols = np.nonzero(np.triu(adjacent, 1))
-
-    # Min-label fixed point: each pass gives a node the least label among
-    # itself and its neighbours, then that label's own label.
-    label, lower = None, np.arange(n)
-    while not np.array_equal(lower, label):
-        label = lower
-        lower = np.where(adjacent, label, n).min(axis=1)
-        lower = lower[lower]
-    minima = np.flatnonzero(label == np.arange(n))[1:]
-    rows = np.concatenate([rows, minima - 1])
-    cols = np.concatenate([cols, minima])
-    return _canonical(np.column_stack([rows, cols]), n)
+    return _random_geometric_pool(n, radius, seed, (index,))[0]
 
 
 def star_cycle_center(n, q):
@@ -195,12 +339,13 @@ def star_cycle_schedule(n):
 
 
 def random_geometric_schedule(n, radius, pool_size, seed):
-    """Cycle through a fixed pool of connected random geometric graphs."""
+    """Cycle through a fixed pool of connected random geometric graphs.
+
+    Graph ``g`` of the pool is ``random_geometric_edges(n, radius, seed, g)``.
+    """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")
-    pool = tuple(
-        random_geometric_edges(n, radius, seed, g) for g in range(pool_size)
-    )
+    pool = _random_geometric_pool(n, radius, seed, range(pool_size))
     return TopologySchedule(n=n, kind="random_geometric", pool=pool)
 
 

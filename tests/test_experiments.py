@@ -462,6 +462,19 @@ def test_wrongly_typed_config_is_named_at_load(tmp_path, capsys, change, named):
     assert f"error: {named}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["problem", "topology"])
+def test_negative_seed_is_named_at_load(section):
+    config = {
+        "problem": _QUADRATIC,
+        "topology": {"kind": "random_geometric", "n": 4, "radius": 0.5,
+                     "pool_size": 2, "seed": 0},
+        "stop": {"budget": 1},
+    }
+    config[section] = {**config[section], "seed": -1}
+    with pytest.raises(ValueError, match=f"^{section} key 'seed' must be >= 0, got -1$"):
+        experiments.ExperimentConfig.from_dict(config)
+
+
 def test_sweep_singleton_matches_run():
     cfg = _hard_config(budget=None, target_eps=1e-4, stop_metric="stacked")
     rows = experiments.sweep(cfg, "chi", [9.0])

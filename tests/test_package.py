@@ -2,6 +2,9 @@ import ast
 import functools
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -113,3 +116,26 @@ def test_package_import_layers():
     assert {name: graph[name] for name in IMPORT_GRAPH} == IMPORT_GRAPH
     assert graph["experiments"] <= set(IMPORT_GRAPH)
     assert graph["cli"] <= set(IMPORT_GRAPH) | {"experiments"}
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # A cold import of scipy.sparse takes about 0.4 s, as long as a whole
+    # sweep set-up; a schedule that needs it must import it lazily. Only
+    # what importing gossipopt adds counts: on some scipy versions
+    # scipy.special itself may load it.
+    code = (
+        "import sys, numpy, scipy.special\n"
+        "before = set(sys.modules)\n"
+        "import gossipopt\n"
+        "print(sorted(m for m in set(sys.modules) - before"
+        " if m.startswith('scipy.sparse')))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,12 @@ def test_ring_star_edges_match_definitions():
     assert sched.edges(1) == ((0, 1), (0, 2), (0, 3))
     assert sched.edges(2) == sched.edges(0)
     assert sched.cycle == 2
+
+
+def test_edge_sets_drop_repeated_pairs():
+    # the ring on two nodes lists its one edge twice, once from each end
+    assert topology.ring_edges(2) == ((0, 1),)
+    assert topology.ring_edges(3) == ((0, 1), (0, 2), (1, 2))
 
 
 def test_star_cycle_centers_have_period_n_over_3():
@@ -111,6 +118,9 @@ def _laplacian_by_loops(edges, n):
 @example(n=20, radius=0.01, seed=0, index=0)
 # 8 components of sizes 1, 1, 2, 3, 4, 6, 7 and 16: 7 bridges
 @example(n=40, radius=0.15, seed=0, index=0)
+# seeds and indices of more than one 32-bit word, six entropy words a key
+@example(n=30, radius=0.3, seed=2**32 + 5, index=3)
+@example(n=12, radius=0.5, seed=2**64 + 1, index=2**33)
 def test_random_geometric_edges_match_loop_reference(n, radius, seed, index):
     edges = topology.random_geometric_edges(n, radius, seed, index)
     assert edges == _random_geometric_by_loops(n, radius, seed, index)
@@ -120,6 +130,72 @@ def test_random_geometric_edges_match_loop_reference(n, radius, seed, index):
     assert np.array_equal(
         topology.laplacian(edges, n), _laplacian_by_loops(edges, n)
     )
+
+
+# seeds on either side of a 32-bit word boundary and beyond; the indices of
+# one call split into the same number of words, one or two
+_SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 1]), st.integers(0, 2**96)
+)
+_INDICES = st.one_of(
+    st.lists(st.sampled_from([0, 1, 2**32 - 1]), min_size=1, max_size=3),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    st.lists(st.integers(2**32, 2**33), min_size=1, max_size=2),
+)
+
+
+@settings(max_examples=40)
+@given(_SEEDS, _INDICES, st.integers(1, 200))
+@example(seed=2**40 + 3, indices=[0, 49], n=200)
+def test_unit_square_points_equal_default_rng_bit_for_bit(seed, indices, n):
+    # no uint overflow warning may fire on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = topology._unit_square_points(seed, indices, n)
+    expected = [
+        [np.random.default_rng([seed, g, i]).random(2) for i in range(n)]
+        for g in indices
+    ]
+    assert points.dtype == np.float64
+    assert points.tobytes() == np.array(expected).tobytes()
+
+
+def _no_draws(*args):
+    raise AssertionError("drew coordinates for a negative seed or index")
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: topology.random_geometric_schedule(5, 0.5, 3, -1), "seed"),
+        (lambda: topology.random_geometric_edges(5, 0.5, -1, 0), "seed"),
+        (lambda: topology.random_geometric_edges(5, 0.5, 0, -2), "graph index"),
+    ],
+    ids=["schedule_seed", "edges_seed", "edges_index"],
+)
+def test_negative_seed_or_index_rejected_before_drawing(monkeypatch, build, named):
+    # splitting a negative int into 32-bit words would never end
+    monkeypatch.setattr(topology, "_unit_square_points", _no_draws)
+    with pytest.raises(ValueError, match=f"{named} must be >= 0"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1, 2), (1, 2, 0)],
+        ((0,), (1, 2)),
+        [(0, 1), [1, 2, 0]],
+        np.array([[0, 1, 2], [1, 2, 0]]),
+        np.array([0, 1, 1, 2]),
+    ],
+    ids=["triples", "single_and_pair", "pair_and_triple", "array_triples", "flat_array"],
+)
+def test_edges_that_are_not_pairs_rejected(edges):
+    with pytest.raises(ValueError, match="every edge must be a pair"):
+        topology.laplacian(edges, 3)
+    with pytest.raises(ValueError, match="every edge must be a pair"):
+        topology.validate_gossip(np.zeros((3, 3)), edges, 2.0)
 
 
 def test_laplacian_counts_duplicates_and_rejects_out_of_range_nodes():
