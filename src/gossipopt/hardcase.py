@@ -22,7 +22,8 @@ A span tracker replays the worst-case growth of the coordinate prefix each
 node can have touched; the certifier checks any traced run against it,
 advancing the tracker one whole iteration (a local computation and T
 communication rounds) at a time through a closed-form update that the
-round-by-round tracker methods serve as the reference for.
+round-by-round tracker methods serve as the reference for, until every span
+covers the truncation and no later iterate can fail.
 """
 
 from __future__ import annotations
@@ -278,7 +279,19 @@ def certify_run(instance, xs, T=1, zero_tol=1e-12):
 
     The first violation reported is the one at the lowest-index node of the
     earliest failing iterate, a support failure before a distance failure.
-    An empty trace raises ValueError: it would certify nothing.
+
+    Checking stops at the first iterate where neither check can fail, and
+    it and every later iterate pass both. Spans never fall, so once every
+    s_i >= d_trunc no support (at most d_trunc) exceeds its span; and the
+    distance floor, less its 1e-12 relative tolerance, falls as s_i grows,
+    so once it is <= 0 at every node no squared distance is below it (the
+    truncation slack makes it negative from s_i = d_trunc on). With T > n/3
+    every span grows by one an iteration, and only the first d_trunc
+    iterates are checked.
+
+    Every entry, checked or not, must have shape (n, d_trunc) and finite
+    values, or ValueError names it. An empty trace raises ValueError: it
+    would certify nothing.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
@@ -286,27 +299,37 @@ def certify_run(instance, xs, T=1, zero_tol=1e-12):
     x_star = instance.solution()
     tail = 1.0 - rho**2
     slack = 2.0 * rho ** (2 * instance.d_trunc) / tail
+    shape = (instance.n, instance.d_trunc)
 
     tracker = SpanTracker.fresh(instance.n)
     support_ok = []
     distance_ok = []
     first_violation = None
+    saturated = False
 
+    k = -1
     for k, x in enumerate(xs):
         x = np.asarray(x, dtype=float)
-        if x.shape != (instance.n, instance.d_trunc):
+        if x.shape != shape:
             raise ValueError(
-                f"trace entry {k} has shape {x.shape}, expected "
-                f"{(instance.n, instance.d_trunc)}"
+                f"trace entry {k} has shape {x.shape}, expected {shape}"
             )
+        if not np.isfinite(x).all():
+            raise ValueError(f"trace entry {k} holds a non-finite value")
+        if saturated:
+            continue
         if k > 0:
             tracker = tracker.after_iteration(T)
         span = np.array(tracker.s)
+        bound = rho ** (2 * span + 2) / tail - slack
+        floor = bound - 1e-12 * np.maximum(1.0, np.abs(bound))
+        if span.min() >= instance.d_trunc and floor.max() <= 0.0:
+            saturated = True
+            continue
         support = _support_lengths(x, zero_tol)
         dist = np.sum((x - x_star) ** 2, axis=1)
-        bound = rho ** (2 * span + 2) / tail - slack
         bad_a = support > span
-        bad_b = dist < bound - 1e-12 * np.maximum(1.0, np.abs(bound))
+        bad_b = dist < floor
         support_ok.append(not bad_a.any())
         distance_ok.append(not bad_b.any())
         bad = bad_a | bad_b
@@ -329,13 +352,14 @@ def certify_run(instance, xs, T=1, zero_tol=1e-12):
                     "bound": float(bound[i]),
                 }
 
-    if not support_ok:
+    if k < 0:
         raise ValueError("empty trace: there is no iterate to certify")
+    skipped = (True,) * (k + 1 - len(support_ok))
     return CertReport(
-        support_ok=tuple(support_ok),
-        distance_ok=tuple(distance_ok),
+        support_ok=tuple(support_ok) + skipped,
+        distance_ok=tuple(distance_ok) + skipped,
         first_violation=first_violation,
-        q_total=tracker.q,
+        q_total=k * T,
     )
 
 
@@ -349,6 +373,8 @@ def lower_bound_curve(chi, L, mu, q_max):
     """
     if chi < 3:
         raise ValueError(f"need chi >= 3, got {chi}")
+    if q_max < 0:
+        raise ValueError(f"need q_max >= 0, got {q_max}")
     rho = hard_rho(L, mu)
     c = rho**4 / (1.0 - rho**2)
     q = np.arange(q_max + 1)

@@ -248,14 +248,21 @@ def gen_random_quadratic(n, d, L, mu, seed):
         raise ValueError(f"need L > mu > 0, got L={L}, mu={mu}")
     if d < 2:
         raise ValueError(f"need d >= 2 to pin both spectrum endpoints, got {d}")
+    # The draws go node by node, as the stream order fixes. The algebra runs
+    # stacked over blocks of about 16 KB a matrix stack: a stacked QR over
+    # all n nodes would hold four (n, d, d) temporaries at once.
     rng = np.random.default_rng(seed)
     quad = np.empty((n, d, d))
+    eigs = np.empty((n, d))
     for i in range(n):
-        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        eigs = rng.uniform(mu, L, size=d)
-        eigs[0], eigs[-1] = mu, L
-        quad[i] = (basis * eigs) @ basis.T
-        quad[i] = 0.5 * (quad[i] + quad[i].T)
+        quad[i] = rng.standard_normal((d, d))
+        eigs[i] = rng.uniform(mu, L, size=d)
+    eigs[:, 0], eigs[:, -1] = mu, L
+    step = max(1, 2048 // (d * d))
+    for lo in range(0, n, step):
+        basis, _ = np.linalg.qr(quad[lo : lo + step])
+        block = (basis * eigs[lo : lo + step, None, :]) @ basis.transpose(0, 2, 1)
+        quad[lo : lo + step] = 0.5 * (block + block.transpose(0, 2, 1))
     lin = rng.standard_normal((n, d))
     return QuadraticObjectives(quad, lin, L=L, mu=mu)
 

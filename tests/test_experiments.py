@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gossipopt import cli, experiments, solver
+from gossipopt import cli, experiments, hardcase, solver
 from gossipopt.experiments import CSV_HEADER, ExperimentConfig
 
 
@@ -710,6 +710,28 @@ def test_cli_lowerbound_certify(tmp_path, capsys):
     lines = curve.read_text().strip().splitlines()
     assert lines[0] == "q,exact,relaxed"
     assert len(lines) == 22  # header + q = 0..20
+
+
+def test_cli_lowerbound_curve_bytes(tmp_path, capsys):
+    # More rows than one write chunk; every row is rendered as the
+    # one-row-at-a-time f-string rendering did.
+    config = _write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "hard_instance", "chi": 9.0, "L": 16.0, "mu": 1.0,
+                        "d_trunc": 40},
+            "algorithm": {"T": 25},
+            "stop": {"budget": 100},
+        },
+    )
+    curve = tmp_path / "curve.csv"
+    assert cli.main(["lowerbound", config, "--curve", str(curve)]) == 0
+    capsys.readouterr()
+    exact, relaxed = hardcase.lower_bound_curve(9.0, 16.0, 1.0, 2500)
+    want = "q,exact,relaxed\n" + "".join(
+        f"{q},{float(e)!r},{float(r)!r}\n" for q, (e, r) in enumerate(zip(exact, relaxed))
+    )
+    assert curve.read_bytes() == want.encode()
 
 
 def test_cli_sweep(tmp_path, capsys):

@@ -297,3 +297,148 @@ def test_certify_rejects_empty_trace():
     inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
     with pytest.raises(ValueError, match="empty trace"):
         hardcase.certify_run(inst, [], T=3)
+
+
+def test_lower_bound_curve_rejects_negative_q_max():
+    with pytest.raises(ValueError, match="q_max"):
+        hardcase.lower_bound_curve(9.0, 16.0, 1.0, -5)
+    exact, relaxed = hardcase.lower_bound_curve(9.0, 16.0, 1.0, 0)
+    assert exact.shape == relaxed.shape == (1,)
+
+
+def _certify_reference(instance, xs, T=1, zero_tol=1e-12):
+    """Every iterate checked against the tracker: the reference certify_run's
+    skip past span saturation is checked against."""
+    rho = instance.rho
+    x_star = instance.solution()
+    tail = 1.0 - rho**2
+    slack = 2.0 * rho ** (2 * instance.d_trunc) / tail
+    tracker = hardcase.SpanTracker.fresh(instance.n)
+    support_ok, distance_ok, first_violation = [], [], None
+    for k, x in enumerate(xs):
+        if k > 0:
+            tracker = tracker.after_iteration(T)
+        span = np.array(tracker.s)
+        mask = np.abs(x) > zero_tol
+        last = x.shape[1] - np.argmax(mask[:, ::-1], axis=1)
+        support = np.where(mask.any(axis=1), last, 0)
+        with np.errstate(over="ignore"):
+            dist = np.sum((x - x_star) ** 2, axis=1)
+        bound = rho ** (2 * span + 2) / tail - slack
+        bad_a = support > span
+        bad_b = dist < bound - 1e-12 * np.maximum(1.0, np.abs(bound))
+        support_ok.append(not bad_a.any())
+        distance_ok.append(not bad_b.any())
+        bad = bad_a | bad_b
+        if first_violation is None and bad.any():
+            i = int(np.argmax(bad))
+            if bad_a[i]:
+                first_violation = {"check": "support", "k": k, "node": i,
+                                   "support": int(support[i]), "span": int(span[i])}
+            else:
+                first_violation = {"check": "distance", "k": k, "node": i,
+                                   "distance_sq": float(dist[i]),
+                                   "bound": float(bound[i])}
+    return hardcase.CertReport(
+        support_ok=tuple(support_ok),
+        distance_ok=tuple(distance_ok),
+        first_violation=first_violation,
+        q_total=tracker.q,
+    )
+
+
+@st.composite
+def _certify_case(draw):
+    """A hard instance, T on either side of n/3, and a trace that follows the
+    tracker's spans: node i holds the first l_i coordinates of x*, scaled,
+    with l_i its span, plus an overshoot at some (iterate, node) pairs. An
+    overshoot above zero_tol fails support; one hidden below it (zero_tol
+    1.0 hides every coordinate of x*) can fail distance first. Past
+    saturation the trace may hold huge finite values."""
+    g = draw(st.integers(1, 4))
+    n = 3 * g
+    d = draw(st.integers(4, 9))
+    T = draw(st.one_of(st.integers(1, g), st.integers(g + 1, 2 * n)))
+    length = draw(st.integers(1, 45))
+    zero_tol = draw(st.sampled_from([1e-12, 1e-2, 1.0]))
+    p_over = draw(st.sampled_from([0.0, 0.002, 0.02, 0.2]))
+    jitter = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    huge = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    inst = hardcase.build_hard_instance(float(n), 16.0, 1.0, d)
+    x_star = inst.solution()
+    tracker = hardcase.SpanTracker.fresh(n)
+    xs = []
+    for k in range(length):
+        if k > 0:
+            tracker = tracker.after_iteration(T)
+        span = np.array(tracker.s)
+        if huge and span.min() >= d:
+            xs.append(np.full((n, d), 1e200))
+            continue
+        lengths = np.minimum(span + (rng.random(n) < p_over) * rng.integers(1, 3, n), d)
+        x = np.zeros((n, d))
+        for i, l_i in enumerate(lengths):
+            x[i, :l_i] = x_star[:l_i] * (1.0 + jitter * rng.standard_normal(l_i))
+        xs.append(x)
+    return inst, xs, T, zero_tol
+
+
+@given(_certify_case())
+@settings(max_examples=200)
+def test_certify_run_equals_per_iterate_reference(case):
+    inst, xs, T, zero_tol = case
+    want = _certify_reference(inst, xs, T=T, zero_tol=zero_tol)
+    assert hardcase.certify_run(inst, xs, T=T, zero_tol=zero_tol) == want
+
+
+def test_certify_case_strategy_reaches_every_outcome():
+    # The property above is only as good as its traces: it must see passes,
+    # support-first and distance-first failures, and saturated tails. The
+    # derandomized profile draws the same examples for both tests.
+    seen = set()
+
+    @given(_certify_case())
+    @settings(max_examples=200)
+    def collect(case):
+        inst, xs, T, zero_tol = case
+        report = _certify_reference(inst, xs, T=T, zero_tol=zero_tol)
+        kind = "pass" if report.passed else report.first_violation["check"]
+        seen.add((kind, T > inst.n // 3))
+        if any((x == 1e200).all() for x in xs):
+            seen.add(("huge", report.passed))
+
+    collect()
+    for kind in ("pass", "support", "distance"):
+        assert {(kind, False), (kind, True)} <= seen, seen
+    assert ("huge", True) in seen
+
+
+def _saturated_zero_trace():
+    # At T > n/3 every span grows by one an iteration: iterate d_trunc and
+    # every later one are past saturation.
+    inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 6)
+    return inst, [np.zeros((9, 6)) for _ in range(12)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_certify_rejects_non_finite_entries(bad):
+    inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
+    with pytest.raises(ValueError, match="trace entry 1 holds a non-finite"):
+        hardcase.certify_run(inst, [np.zeros((9, 30)), np.full((9, 30), bad)])
+    inst, trace = _saturated_zero_trace()
+    trace[10] = trace[10].copy()
+    trace[10][4, 2] = bad
+    with pytest.raises(ValueError, match="trace entry 10 holds a non-finite"):
+        hardcase.certify_run(inst, trace, T=4)
+
+
+def test_certify_checks_shape_past_saturation():
+    inst, trace = _saturated_zero_trace()
+    report = hardcase.certify_run(inst, trace, T=4)
+    assert report.passed and report.q_total == 11 * 4
+    assert report == _certify_reference(inst, trace, T=4)
+    trace[11] = np.zeros((9, 5))
+    with pytest.raises(ValueError, match=r"trace entry 11 has shape \(9, 5\)"):
+        hardcase.certify_run(inst, trace, T=4)

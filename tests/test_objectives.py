@@ -425,3 +425,24 @@ def test_mean_hessian_matches_per_node_reference(case):
         scale = (np.abs(a).T * weight) @ np.abs(a) / (obj.n * obj.m) + obj.reg * np.eye(obj.d)
     assert hess.shape == (obj.d, obj.d)
     assert np.all(np.abs(hess - reference) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("n, d, seed", [(5, 2, 0), (30, 50, 11), (7, 3, 123456789), (100, 20, 3)])
+def test_random_quadratic_equals_per_node_construction(n, d, seed):
+    # The generator draws node by node and runs its algebra stacked over
+    # blocks of nodes: 20 blocks of 5 at (100, 20), one node a block at
+    # (30, 50), one block for the small cases. This is the one-node-at-a-time
+    # construction it must equal bit for bit.
+    L, mu = 100.0, 1.0
+    rng = np.random.default_rng(seed)
+    quad = np.empty((n, d, d))
+    for i in range(n):
+        basis, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        eigs = rng.uniform(mu, L, size=d)
+        eigs[0], eigs[-1] = mu, L
+        quad[i] = (basis * eigs) @ basis.T
+        quad[i] = 0.5 * (quad[i] + quad[i].T)
+    lin = rng.standard_normal((n, d))
+    obj = objectives.gen_random_quadratic(n, d, L=L, mu=mu, seed=seed)
+    assert np.array_equal(obj.quad, quad)
+    assert np.array_equal(obj.lin, lin)
