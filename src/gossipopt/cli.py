@@ -90,10 +90,10 @@ def _cmd_lowerbound(args):
     print(json.dumps(summary, indent=2))
 
     p = config.problem
-    exact, relaxed = hardcase.lower_bound_curve(
-        p["chi"], p["L"], p["mu"], summary["comm_rounds"]
-    )
     if args.curve:
+        exact, relaxed = hardcase.lower_bound_curve(
+            p["chi"], p["L"], p["mu"], summary["comm_rounds"]
+        )
         # Rows go out 1024 to a write: a write per row pays a call per row,
         # and one string for the whole file would raise the peak memory of a
         # certified run, whose trace is still alive here.

@@ -71,12 +71,13 @@ DIVERGENCE_LIMIT = 1e100
 
 # A run with an error target stops as stalled once its stop metric has gone
 # STALL_WINDOW certified e-folding times without falling below STALL_FACTOR
-# times its last such low. An e-folding time, 32 chi_eff sqrt(L/mu)
-# iterations, is how long the certified rate takes to shrink the potential
-# by e. Above the float floor, on 60 random problems, the stacked error
-# always halved within 0.5 of one and the block mean's within 2.2 (an early
-# low of the mean can sit below the trend). A run without a budget stops
-# after ITERATION_CAP iterations.
+# times its last such low. An e-folding time, 2 / sigma2 iterations, is how
+# long the run's certified rate 1 - sigma2 / 2 takes to shrink the potential
+# by e: 32 chi_eff sqrt(L/mu) iterations for the closed-form schedule at
+# the chi it was derived from, declared or measured. Above the float floor,
+# on 60 random problems, the stacked error always halved within 0.5 of one
+# and the block mean's within 2.2 (an early low of the mean can sit below
+# the trend). A run without a budget stops after ITERATION_CAP iterations.
 STALL_WINDOW = 8.0
 STALL_FACTOR = 0.5
 ITERATION_CAP = 1_000_000
@@ -297,10 +298,11 @@ class SaddleReference:
     grad_star: np.ndarray
 
     @cached_property
-    def _xyz(self):
-        """x, y and z stacked: the saddle values of the state rows x, y, z
-        and of x_f, y_f, z_f."""
-        return np.array([self.x, self.y, self.z])
+    def _rows(self):
+        """Saddle values of the seven state rows, stacked: x, y, z, zero for
+        the momentum buffer m, then x, y, z again for x_f, y_f, z_f."""
+        xyz = [self.x, self.y, self.z]
+        return np.array(xyz + [np.zeros_like(self.x)] + xyz)
 
 
 def make_reference(objectives, nu):
@@ -325,8 +327,7 @@ def make_reference(objectives, nu):
 
 def saddle_state(reference):
     """State sitting exactly at the saddle point, with zero momentum buffer."""
-    xyz = reference._xyz
-    return _wrap(0, np.concatenate((xyz, np.zeros_like(xyz[:1]), xyz)))
+    return _wrap(0, reference._rows.copy())
 
 
 def _rules(p, x, y, z, m, x_f, y_f, z_f, grad, mix):
@@ -454,31 +455,26 @@ def lyapunov(state, params, objectives, reference, *, diff=None):
     follows from its own floats, so it has the bits of a call on that
     iterate alone.
 
-    ``diff``, an array of the buffer's shape, receives the difference rows.
-    When it is given, its rows 0 to 2 must already hold x, y and z minus
-    their saddle values: :func:`run` takes those rows at every iterate, for
-    the error it reads from row 0, and passes its history as both the
-    state's buffer and ``diff``, so the iterates turn into their difference
-    rows in place. When omitted, it is allocated and filled whole.
+    ``diff``, an array of the buffer's shape, receives the seven difference
+    rows; it is allocated when omitted. It may be the state's own buffer,
+    which then turns into its difference rows in place: :func:`run` passes
+    its history so.
     """
     p = params
     ref = reference
 
     buf = state._buf
-    xyz_gaps_given = diff is not None
     if diff is None:
         diff = np.empty_like(buf)
-    rows, gaps, xyz = buf, diff, ref._xyz
-    if buf.ndim == 4:
-        # Row-major views of the block, so each row is one plain index.
-        rows, gaps, xyz = buf.swapaxes(0, 1), diff.swapaxes(0, 1), xyz[:, None]
-    if not xyz_gaps_given:
-        np.subtract(rows[:3], xyz, out=gaps[:3])
     # Read x_f before diff, which may be the same memory, overwrites it.
-    values = objectives.value(rows[4])
+    values = objectives.value(buf[..., 4, :, :])
     values = [values] if buf.ndim == 3 else values.tolist()
-    np.subtract(rows[4:], xyz, out=gaps[4:])
-    blockvec.project_consensus(rows[3], out=gaps[3])  # m's zero-sum part
+    # One subtraction for all seven rows; m's saddle value is zero, so its
+    # row keeps m's bits.
+    np.subtract(buf, ref._rows, out=diff)
+    # Row-major view of a block, so each row is one plain index.
+    gaps = diff if buf.ndim == 3 else diff.swapaxes(0, 1)
+    blockvec.project_consensus(gaps[3], out=gaps[3])  # m's zero-sum part
     gaps[2] -= gaps[3]  # z_hat = z - that part
     gaps[6] += gaps[5]  # y_f + z_f
     flat = diff.reshape(-1, buf.shape[-2] * buf.shape[-1])
@@ -606,8 +602,10 @@ def run(
     target_eps : float, optional
         Stop once the squared error of the chosen metric falls below this.
         With a target, the run also stops, as ``"stalled"``, once that
-        error has gone ``STALL_WINDOW`` certified e-folding times without
-        falling below ``STALL_FACTOR`` times its last such low.
+        error has gone ``STALL_WINDOW`` e-folding times of the certified
+        rate ``1 - params.sigma2 / 2``, ``2 / params.sigma2`` iterations
+        each, without falling below ``STALL_FACTOR`` times its last such
+        low.
     params : Params, optional
         Defaults to the theoretical schedule at the mixing operator's
         effective condition number.
@@ -623,16 +621,16 @@ def run(
         Keep a copy of every x iterate (needed by the run certifier).
 
     The run allocates its buffers once: a (10, n, d) workspace holding the
-    state's rows and :func:`step`'s scratch rows, and a (K, 7, n, d)
-    history. Each step writes the next iterate into the history's next
-    slot, from which it is copied back into the workspace. At every
-    iterate, x, y and z minus their saddle values go into the iterate's
-    slot, and the two errors the stop rules read are taken. When the
-    history is full, when the run stops and before a divergence is raised,
-    one :func:`lyapunov` call takes the potential of the iterates it
-    holds, turning them into difference rows in place, and their records
-    are built. K is ``max(1, BLOCK_BYTES // (7 n d 8))`` with the potential
-    tracked, else 1.
+    state's rows and :func:`step`'s scratch rows, an (n, d) array for
+    ``x - x*``, and a (K, 7, n, d) history. Each step writes the next
+    iterate into the history's next slot, from which it is copied back into
+    the workspace. At every iterate, the two errors the stop rules read are
+    taken, the stacked one from ``x - x*``. When the history is full, when
+    the run stops and before a divergence is raised, one :func:`lyapunov`
+    call takes the potential of the raw iterates it holds, turning them
+    into difference rows in place, and their records are built. K is
+    ``max(1, BLOCK_BYTES // (7 n d 8))`` with the potential tracked, else
+    1.
 
     Returns
     -------
@@ -660,9 +658,7 @@ def run(
     if reference is None:
         reference = make_reference(objectives, params.nu)
     limit = ITERATION_CAP if budget is None else budget
-    window = STALL_WINDOW * 32.0 * effective_chi(mixing.chi, T) * math.sqrt(
-        objectives.L / objectives.mu
-    )
+    window = STALL_WINDOW * 2.0 / params.sigma2
 
     n, d = objectives.n, objectives.d
     size = max(1, BLOCK_BYTES // (7 * n * d * 8)) if track_lyapunov else 1
@@ -672,16 +668,15 @@ def run(
     history = np.empty((size, 7, n, d))
     history[0] = state._buf
     slots = list(history)
+    x_gap = np.empty((n, d))
     records, pending = [], []
     trace = [state.x.copy()] if collect_trace else None
     low, low_k = math.inf, 0
 
     while True:
-        # The iterate's own slot takes x, y, z minus their saddle values,
-        # for the error here and for the potential pass.
-        x, gaps = state.x, slots[len(pending)][:3]
-        np.subtract(work[:3], reference._xyz, out=gaps)
-        stacked = _sqnorm(gaps[0])
+        x = state.x
+        np.subtract(x, reference.x, out=x_gap)
+        stacked = _sqnorm(x_gap)
         mean_block = _sqnorm(x.sum(axis=0) / len(x) - reference.x_bar)
         pending.append((state.k, stacked, mean_block))
         err = mean_block if stop_metric == "mean_block" else stacked

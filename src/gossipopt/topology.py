@@ -252,41 +252,6 @@ def _random_geometric_pool(n, radius, seed, indices):
     return tuple(pool)
 
 
-def random_geometric_edges(n, radius, seed, index):
-    """One connected random geometric graph on the unit square.
-
-    Graph ``index`` of ``random_geometric_schedule(n, radius, pool_size,
-    seed)``, built by the same path on a pool of one graph. Node ``i`` sits
-    at ``np.random.default_rng([seed, index, i]).random(2)``: the
-    coordinates are drawn in one vectorized ``SeedSequence``/PCG64 pass
-    that equals that generator bit for bit, so the graph is a pure function
-    of its arguments and reproducible across platforms. Pairs closer than
-    ``radius`` are connected. If the threshold graph is disconnected, it is
-    bridged along the index path: the lowest-index node ``m > 0`` of each
-    component is joined to its predecessor by the edge ``(m - 1, m)``, the
-    minimum number of edges that connects it. Component minima are found by
-    labelling every node with the smallest index it can reach, iterated to
-    a fixed point on the threshold matrix.
-
-    Parameters
-    ----------
-    n : int
-        Number of nodes.
-    radius : float
-        Connection radius, in (0, sqrt(2)].
-    seed : int
-        Base seed of the schedule, >= 0.
-    index : int
-        Position of this graph within the schedule's pool, >= 0.
-
-    Returns
-    -------
-    tuple of (int, int)
-        Canonical edge list of a connected graph.
-    """
-    return _random_geometric_pool(n, radius, seed, (index,))[0]
-
-
 def star_cycle_center(n, q):
     """Zero-based center of round q's star for the cycling-star schedule.
 
@@ -341,7 +306,18 @@ def star_cycle_schedule(n):
 def random_geometric_schedule(n, radius, pool_size, seed):
     """Cycle through a fixed pool of connected random geometric graphs.
 
-    Graph ``g`` of the pool is ``random_geometric_edges(n, radius, seed, g)``.
+    Node ``i`` of graph ``g`` sits at ``np.random.default_rng([seed, g,
+    i]).random(2)`` on the unit square: the coordinates of the whole pool
+    are drawn in one vectorized ``SeedSequence``/PCG64 pass that equals that
+    generator bit for bit, so each graph is a pure function of ``(n, radius,
+    seed, g)`` and reproducible across platforms. Pairs closer than
+    ``radius``, in (0, sqrt(2)], are connected. If a threshold graph is
+    disconnected, it is bridged along the index path: the lowest-index node
+    ``m > 0`` of each component is joined to its predecessor by the edge
+    ``(m - 1, m)``, the minimum number of edges that connects it. Component
+    minima are found by labelling every node with the smallest index it can
+    reach, iterated to a fixed point on the threshold matrix. ``seed`` must
+    be >= 0.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")

@@ -712,6 +712,23 @@ def test_cli_lowerbound_certify(tmp_path, capsys):
     assert len(lines) == 22  # header + q = 0..20
 
 
+def test_cli_lowerbound_without_curve_skips_the_curve(tmp_path, capsys, monkeypatch):
+    def no_curve(*args):
+        raise AssertionError("computed the error-floor curve without --curve")
+
+    monkeypatch.setattr(hardcase, "lower_bound_curve", no_curve)
+    config = _write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "hard_instance", "chi": 9.0, "L": 16.0, "mu": 1.0,
+                        "d_trunc": 40},
+            "stop": {"budget": 20},
+        },
+    )
+    assert cli.main(["lowerbound", config, "--certify"]) == 0
+    assert "certification: PASS" in capsys.readouterr().out
+
+
 def test_cli_lowerbound_curve_bytes(tmp_path, capsys):
     # More rows than one write chunk; every row is rendered as the
     # one-row-at-a-time f-string rendering did.
@@ -784,3 +801,21 @@ def test_cli_sweep_names_a_diverged_row(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1:] == ["1,diverged,,,"]
     assert captured.err.startswith("diverged: sweep value 1: divergence at iteration")
+
+
+def test_declared_chi_run_is_not_stopped_as_stalled():
+    # The parameters come from the declared chi of 200, not the measured 6,
+    # so the run contracts at the slower certified rate of the declared one;
+    # a stall window sized from the measured chi stopped it at k = 10850
+    # with its error still falling.
+    config = ExperimentConfig(
+        problem={"kind": "random_quadratic", "n": 6, "d": 3, "L": 10.0, "mu": 1.0, "seed": 3},
+        topology={"kind": "ring_star", "n": 6},
+        chi=200,
+        target_eps=1e-5,
+        stop_metric="stacked",
+    )
+    summary = experiments.run_experiment(config).summary
+    assert summary["chi_used"] == 200.0 and summary["chi_measured"] < 7.0
+    assert summary["stop_reason"] == "converged"
+    assert summary["final_err_sq_stacked"] <= 1e-5

@@ -118,17 +118,15 @@ def test_package_import_layers():
     assert graph["cli"] <= set(IMPORT_GRAPH) | {"experiments"}
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # A cold import of scipy.sparse takes about 0.4 s, as long as a whole
-    # sweep set-up; a schedule that needs it must import it lazily. Only
-    # what importing gossipopt adds counts: on some scipy versions
-    # scipy.special itself may load it.
+def _modules_added(preload, target):
+    """Names in ``sys.modules`` that ``import target`` adds in a fresh
+    interpreter that has imported ``preload``, with this checkout's package
+    on the path."""
     code = (
-        "import sys, numpy, scipy.special\n"
+        f"import sys, {preload}\n"
         "before = set(sys.modules)\n"
-        "import gossipopt\n"
-        "print(sorted(m for m in set(sys.modules) - before"
-        " if m.startswith('scipy.sparse')))"
+        f"import {target}\n"
+        "print(*sorted(set(sys.modules) - before))"
     )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
@@ -138,4 +136,36 @@ def test_import_leaves_scipy_sparse_unloaded():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return set(done.stdout.split())
+
+
+def _reached(name):
+    """Package modules that importing module ``name`` reaches in
+    IMPORT_GRAPH, itself included."""
+    reached, todo = set(), [name]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(IMPORT_GRAPH[module])
+    return reached
+
+
+@pytest.mark.parametrize("name", sorted(IMPORT_GRAPH))
+def test_import_loads_only_the_modules_the_graph_reaches(name):
+    # The package root imports nothing, so a module loads only its own
+    # layer: topology needs neither the objectives nor scipy.special.
+    loaded = _modules_added("numpy", f"gossipopt.{name}")
+    package = {m for m in loaded if m.split(".")[0] == "gossipopt"}
+    assert package == {"gossipopt"} | {f"gossipopt.{m}" for m in _reached(name)}
+    assert ("scipy.special" in loaded) == ("objectives" in _reached(name))
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # A cold import of scipy.sparse takes about 0.4 s, as long as a whole
+    # sweep set-up; a schedule that needs it must import it lazily.
+    # Importing cli loads every module of the package. Only what that adds
+    # counts: on some scipy versions scipy.special itself may load it.
+    loaded = _modules_added("numpy, scipy.special", "gossipopt.cli")
+    assert "gossipopt.topology" in loaded
+    assert sorted(m for m in loaded if m.startswith("scipy.sparse")) == []

@@ -122,7 +122,7 @@ def _laplacian_by_loops(edges, n):
 @example(n=30, radius=0.3, seed=2**32 + 5, index=3)
 @example(n=12, radius=0.5, seed=2**64 + 1, index=2**33)
 def test_random_geometric_edges_match_loop_reference(n, radius, seed, index):
-    edges = topology.random_geometric_edges(n, radius, seed, index)
+    edges = topology._random_geometric_pool(n, radius, seed, (index,))[0]
     assert edges == _random_geometric_by_loops(n, radius, seed, index)
     assert type(edges) is tuple
     assert all(type(e) is tuple and len(e) == 2 for e in edges)
@@ -168,8 +168,8 @@ def _no_draws(*args):
     "build, named",
     [
         (lambda: topology.random_geometric_schedule(5, 0.5, 3, -1), "seed"),
-        (lambda: topology.random_geometric_edges(5, 0.5, -1, 0), "seed"),
-        (lambda: topology.random_geometric_edges(5, 0.5, 0, -2), "graph index"),
+        (lambda: topology._random_geometric_pool(5, 0.5, -1, (0,))[0], "seed"),
+        (lambda: topology._random_geometric_pool(5, 0.5, 0, (-2,))[0], "graph index"),
     ],
     ids=["schedule_seed", "edges_seed", "edges_index"],
 )
