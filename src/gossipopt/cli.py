@@ -16,6 +16,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import experiments, hardcase, solver, topology
 
 
@@ -62,6 +64,8 @@ def _cmd_validate_gossip(args):
     mixing = topology.build_mixing(schedule)
     print(f"schedule kind={schedule.kind} n={schedule.n} cycle={schedule.cycle}")
     print(f"measured chi = {mixing.chi!r}")
+    if args.export_dir:
+        Path(args.export_dir).mkdir(parents=True, exist_ok=True)
     all_ok = True
     for q in range(schedule.cycle):
         report = topology.validate_gossip(
@@ -85,6 +89,8 @@ def _cmd_lowerbound(args):
         return 1
     if args.certify:
         config = replace(config, certify=True)
+    if args.curve:
+        Path(args.curve).parent.mkdir(parents=True, exist_ok=True)
     result = experiments.run_experiment(config, output_dir=args.output_dir)
     summary = result.summary
     print(json.dumps(summary, indent=2))
@@ -94,15 +100,7 @@ def _cmd_lowerbound(args):
         exact, relaxed = hardcase.lower_bound_curve(
             p["chi"], p["L"], p["mu"], summary["comm_rounds"]
         )
-        # Rows go out 1024 to a write: a write per row pays a call per row,
-        # and one string for the whole file would raise the peak memory of a
-        # certified run, whose trace is still alive here.
-        with open(args.curve, "w", newline="\n") as fh:
-            fh.write("q,exact,relaxed\n")
-            for lo in range(0, len(exact), 1024):
-                hi = lo + 1024
-                rows = zip(range(lo, hi), exact[lo:hi].tolist(), relaxed[lo:hi].tolist())
-                fh.write("".join([f"{q},{e!r},{r!r}\n" for q, e, r in rows]))
+        _write_curve(args.curve, exact, relaxed)
         print(f"error-floor curve written to {args.curve}")
     # No step-by-step certificate exists for local computations; print the
     # complexity floor as a reference line only.
@@ -117,6 +115,29 @@ def _cmd_lowerbound(args):
             print(json.dumps(result.cert_report.first_violation, indent=2))
             return 2
     return 0
+
+
+def _write_curve(path, exact, relaxed):
+    """Write the error-floor curve as CSV rows ``q,exact,relaxed``.
+
+    Rows go out 1024 to a write: a write per row pays a call per row, and
+    one string for the whole file would raise the peak memory of a
+    certified run, whose trace is still alive here. Both columns are
+    nonnegative, so the rows after the last nonzero entry all read
+    ``q,0.0,0.0``; that suffix, most of a long curve, is rendered from the
+    row numbers alone, without a float repr.
+    """
+    nonzero = np.flatnonzero((exact != 0) | (relaxed != 0))
+    zero_from = int(nonzero[-1]) + 1 if nonzero.size else 0
+    with open(path, "w", newline="\n") as fh:
+        fh.write("q,exact,relaxed\n")
+        for lo in range(0, zero_from, 1024):
+            hi = min(lo + 1024, zero_from)
+            rows = zip(range(lo, hi), exact[lo:hi].tolist(), relaxed[lo:hi].tolist())
+            fh.write("".join([f"{q},{e!r},{r!r}\n" for q, e, r in rows]))
+        for lo in range(zero_from, len(exact), 1024):
+            hi = min(lo + 1024, len(exact))
+            fh.write(",0.0,0.0\n".join(map(str, range(lo, hi))) + ",0.0,0.0\n")
 
 
 def _cmd_params(args):

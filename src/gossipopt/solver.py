@@ -18,9 +18,10 @@ one (7, 10) product of a workspace holding the seven rows, the gradient and
 the mixed payloads.
 
 :func:`run` allocates that workspace once per run, with a history of the
-last K iterates. It takes the errors its stop rules read at every iterate,
-and the potential of :func:`lyapunov` once per block of K iterates, in one
-pass, so the potential's numpy calls are paid per block, not per iterate.
+last K iterates. It takes the error its stop rule reads at every iterate,
+and the potential of :func:`lyapunov`, as arrays, and the other errors once
+per block of K iterates, so their numpy calls are paid per block, not per
+iterate.
 
 A run ends with a named stop reason: the error target was met
 (``converged``), the budget or the iteration cap ran out (``budget``), or
@@ -83,9 +84,12 @@ STALL_FACTOR = 0.5
 ITERATION_CAP = 1_000_000
 
 # run takes the potential of K iterates in one pass, K as many (7, n, d)
-# iterates as BLOCK_BYTES holds, and at least one: 11 at n d = 200, and 1
-# from n d = 1171 up, where an iterate's arithmetic outweighs its calls.
-BLOCK_BYTES = 128 * 1024
+# iterates as BLOCK_BYTES holds when that is at least BLOCK_MIN, else 1: 46
+# at n d = 200, 8 at n d = 1170, and 1 from n d = 1171 up, where an
+# iterate's arithmetic outweighs its calls. A block of 2 to 7 iterates
+# pays the block's array calls without enough iterates to spread them over.
+BLOCK_BYTES = 512 * 1024
+BLOCK_MIN = 8
 
 # Errors the target test can read; see the ``stop_metric`` of :func:`run`.
 STOP_METRICS = ("mean_block", "stacked")
@@ -418,11 +422,14 @@ def step(state, params, objectives, mixing, T=1, *, work=None, out=None):
 
 @dataclass(frozen=True)
 class LyapunovReport:
-    """Decomposition of the contracting potential at one iterate.
+    """Decomposition of the contracting potential at one iterate, or at each
+    iterate of a block.
 
-    Every component is nonnegative: the Bregman term because the objective
-    minus (nu/2) ||.||^2 stays convex (nu < mu), the buffer term because it
-    is a projection seminorm.
+    The fields are floats for one iterate and float64 arrays, one entry per
+    iterate, for a block (see :func:`lyapunov`). Every component is
+    nonnegative: the Bregman term because the objective minus
+    (nu/2) ||.||^2 stays convex (nu < mu), the buffer term because it is a
+    projection seminorm.
     """
 
     psi_x: float
@@ -445,15 +452,16 @@ def lyapunov(state, params, objectives, reference, *, diff=None):
     every distance the potential measures once three rows are combined in
     place; one reduction then takes the seven squared norms.
 
-    The state's buffer is one iterate, (7, n, d), for which a
-    :class:`LyapunovReport` is returned, or a block of iterates stacked
-    along a leading axis, (B, 7, n, d), for which a list of B reports is
-    returned. A block costs about the numpy calls of one iterate: one
-    stacked ``objectives.value`` of its x_f points, one difference and
-    projection over the block, one reduction for its 7B squared norms, and
-    one ``vdot`` per iterate with ``grad_star``. Each iterate's report then
-    follows from its own floats, so it has the bits of a call on that
-    iterate alone.
+    The state's buffer is one iterate, (7, n, d), whose report holds
+    floats, or a block of B iterates stacked along a leading axis,
+    (B, 7, n, d), whose one report holds length-B float64 arrays in
+    ``psi_x``, ``psi_yz`` and every ``components`` value. A block costs
+    about the numpy calls of one iterate: one stacked ``objectives.value``
+    of its x_f points, one difference and projection over the block, one
+    reduction for its 7B squared norms, one ``vdot`` per iterate with
+    ``grad_star``, and the same array expressions as one iterate's floats.
+    Those take the floats' operations in their order, so entry i has the
+    bits of a call on iterate i alone.
 
     ``diff``, an array of the buffer's shape, receives the seven difference
     rows; it is allocated when omitted. It may be the state's own buffer,
@@ -467,8 +475,7 @@ def lyapunov(state, params, objectives, reference, *, diff=None):
     if diff is None:
         diff = np.empty_like(buf)
     # Read x_f before diff, which may be the same memory, overwrites it.
-    values = objectives.value(buf[..., 4, :, :])
-    values = [values] if buf.ndim == 3 else values.tolist()
+    value = objectives.value(buf[..., 4, :, :])
     # One subtraction for all seven rows; m's saddle value is zero, so its
     # row keeps m's bits.
     np.subtract(buf, ref._rows, out=diff)
@@ -478,38 +485,40 @@ def lyapunov(state, params, objectives, reference, *, diff=None):
     gaps[2] -= gaps[3]  # z_hat = z - that part
     gaps[6] += gaps[5]  # y_f + z_f
     flat = diff.reshape(-1, buf.shape[-2] * buf.shape[-1])
-    norms = iter(np.einsum("ri,ri->r", flat, flat).tolist())
+    norms = np.einsum("ri,ri->r", flat, flat)
+    # Each iterate's x_f - x* row against grad_star, one vdot per iterate.
+    dots = [float(np.vdot(ref.grad_star, row)) for row in flat[4::7]]
+    if buf.ndim == 3:
+        squares, dot = norms.tolist(), dots[0]
+    else:
+        squares, dot = norms.reshape(-1, 7).T, np.array(dots)
+    sq_x, sq_y, sq_zhat, sq_m, sq_xf, sq_yf, sq_coupled = squares
 
-    reports = []
-    # Each iterate's seven squared norms, its x_f - x* row and its value.
-    for squares, xf_gap, value in zip(zip(*[norms] * 7), flat[4::7], values):
-        sq_x, sq_y, sq_zhat, sq_m, sq_xf, sq_yf, sq_coupled = squares
-        d_f = value - ref.f_star - float(np.vdot(ref.grad_star, xf_gap))
-        x_dist = (1.0 / p.eta + p.alpha) * sq_x
-        x_bregman = (2.0 / p.tau2) * (d_f - 0.5 * p.nu * sq_xf)
-        psi_x = x_dist + x_bregman
+    d_f = value - ref.f_star - dot
+    x_dist = (1.0 / p.eta + p.alpha) * sq_x
+    x_bregman = (2.0 / p.tau2) * (d_f - 0.5 * p.nu * sq_xf)
+    psi_x = x_dist + x_bregman
 
-        y_dist = (1.0 / p.theta + 0.5 * p.beta) * sq_y
-        yf_dist = (0.5 * p.beta / p.sigma2) * sq_yf
-        zhat_dist = (1.0 / p.gamma) * sq_zhat
-        m_proj = (4.0 / (3.0 * p.gamma)) * sq_m
-        coupled = (1.0 / (p.nu * p.sigma2)) * sq_coupled
-        psi_yz = y_dist + yf_dist + zhat_dist + m_proj + coupled
+    y_dist = (1.0 / p.theta + 0.5 * p.beta) * sq_y
+    yf_dist = (0.5 * p.beta / p.sigma2) * sq_yf
+    zhat_dist = (1.0 / p.gamma) * sq_zhat
+    m_proj = (4.0 / (3.0 * p.gamma)) * sq_m
+    coupled = (1.0 / (p.nu * p.sigma2)) * sq_coupled
+    psi_yz = y_dist + yf_dist + zhat_dist + m_proj + coupled
 
-        reports.append(LyapunovReport(
-            psi_x=psi_x,
-            psi_yz=psi_yz,
-            components={
-                "x_dist": x_dist,
-                "x_bregman": x_bregman,
-                "y_dist": y_dist,
-                "yf_dist": yf_dist,
-                "zhat_dist": zhat_dist,
-                "m_proj": m_proj,
-                "coupled": coupled,
-            },
-        ))
-    return reports[0] if buf.ndim == 3 else reports
+    return LyapunovReport(
+        psi_x=psi_x,
+        psi_yz=psi_yz,
+        components={
+            "x_dist": x_dist,
+            "x_bregman": x_bregman,
+            "y_dist": y_dist,
+            "yf_dist": yf_dist,
+            "zhat_dist": zhat_dist,
+            "m_proj": m_proj,
+            "coupled": coupled,
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -558,22 +567,38 @@ def _guard(state):
             raise DivergenceError(state.k, peak, name)
 
 
-def _flush(records, pending, history, T, lyapunov_args):
-    """Append the records of the ``pending`` iterates, (k, err_sq_stacked,
-    err_sq_mean_block) each, which sit in the first slots of ``history``;
-    with ``lyapunov_args``, their potential comes from one :func:`lyapunov`
-    pass over those slots."""
+def _flush(records, pending, history, T, lyapunov_args, reference):
+    """Append the records of the ``pending`` iterates, which sit in the
+    first slots of ``history``: (k, err_sq_stacked, err_sq_mean_block)
+    each, with None for an error the run left to this call.
+
+    With ``lyapunov_args``, their potential comes from one :func:`lyapunov`
+    pass over those slots, which turns them into difference rows in place.
+    A left mean-block error is taken from the raw x rows before that pass,
+    a left stacked one from the x - x* rows it leaves, one ``vdot`` per
+    iterate either way, as in :func:`run`'s loop.
+    """
     count = len(pending)
+    ks, stacked, mean_block = zip(*pending)
+    if mean_block[0] is None:
+        xs = history[:count, 0]
+        means = xs.sum(axis=1) / xs.shape[1] - reference.x_bar
+        mean_block = [_sqnorm(gap) for gap in means]
     if lyapunov_args:
         # One iterate goes as a (7, n, d) buffer: numpy loops over a leading
         # axis of length one more slowly than over none.
         block = history[0] if count == 1 else history[:count]
-        reports = lyapunov(_wrap(pending[0][0], block), *lyapunov_args, diff=block)
-        psis = [(r.psi_x, r.psi_yz) for r in ([reports] if count == 1 else reports)]
+        report = lyapunov(_wrap(ks[0], block), *lyapunov_args, diff=block)
+        if count == 1:
+            psi_x, psi_yz = [report.psi_x], [report.psi_yz]
+        else:
+            psi_x, psi_yz = report.psi_x.tolist(), report.psi_yz.tolist()
     else:
-        psis = [(math.nan, math.nan)] * count
-    for (k, stacked, mean_block), (psi_x, psi_yz) in zip(pending, psis):
-        records.append(RunRecord(k, k * T, k, stacked, mean_block, psi_x, psi_yz))
+        psi_x = psi_yz = [math.nan] * count
+    if stacked[0] is None:
+        stacked = [_sqnorm(gap) for gap in history[:count, 0]]
+    for k, err_stacked, err_mean, px, pyz in zip(ks, stacked, mean_block, psi_x, psi_yz):
+        records.append(RunRecord(k, k * T, k, err_stacked, err_mean, px, pyz))
     pending.clear()
 
 
@@ -624,13 +649,16 @@ def run(
     state's rows and :func:`step`'s scratch rows, an (n, d) array for
     ``x - x*``, and a (K, 7, n, d) history. Each step writes the next
     iterate into the history's next slot, from which it is copied back into
-    the workspace. At every iterate, the two errors the stop rules read are
-    taken, the stacked one from ``x - x*``. When the history is full, when
-    the run stops and before a divergence is raised, one :func:`lyapunov`
-    call takes the potential of the raw iterates it holds, turning them
-    into difference rows in place, and their records are built. K is
-    ``max(1, BLOCK_BYTES // (7 n d 8))`` with the potential tracked, else
-    1.
+    the workspace. When the history is full, when the run stops and before
+    a divergence is raised, one :func:`lyapunov` call takes the potential
+    of the raw iterates it holds, turning them into difference rows in
+    place, and their records are built from its arrays. With the potential
+    tracked, K is ``BLOCK_BYTES // (7 n d 8)`` when that is at least
+    ``BLOCK_MIN``, else 1; untracked, K is 1. At K = 1 both errors are
+    taken at every iterate, the stacked one from ``x - x*``. At K > 1 only
+    the error the target test reads is taken at every iterate, none
+    without a target, and the other errors once per block with the
+    potential; the records have the same bits either way.
 
     Returns
     -------
@@ -661,8 +689,14 @@ def run(
     window = STALL_WINDOW * 2.0 / params.sigma2
 
     n, d = objectives.n, objectives.d
-    size = max(1, BLOCK_BYTES // (7 * n * d * 8)) if track_lyapunov else 1
+    fit = BLOCK_BYTES // (7 * n * d * 8)
+    size = fit if track_lyapunov and fit >= BLOCK_MIN else 1
     lyapunov_args = (params, objectives, reference) if track_lyapunov else ()
+    # A run in blocks takes at every iterate only the error its target test
+    # reads, and none without a target; _flush takes the rest per block.
+    targeted = target_eps is not None
+    take_stacked = size == 1 or (targeted and stop_metric == "stacked")
+    take_mean = size == 1 or (targeted and stop_metric == "mean_block")
     work = np.zeros((10, n, d))
     state = _wrap(0, work[:7])
     history = np.empty((size, 7, n, d))
@@ -675,13 +709,16 @@ def run(
 
     while True:
         x = state.x
-        np.subtract(x, reference.x, out=x_gap)
-        stacked = _sqnorm(x_gap)
-        mean_block = _sqnorm(x.sum(axis=0) / len(x) - reference.x_bar)
+        stacked = mean_block = None
+        if take_stacked:
+            np.subtract(x, reference.x, out=x_gap)
+            stacked = _sqnorm(x_gap)
+        if take_mean:
+            mean_block = _sqnorm(x.sum(axis=0) / len(x) - reference.x_bar)
         pending.append((state.k, stacked, mean_block))
-        err = mean_block if stop_metric == "mean_block" else stacked
         reason = None
-        if target_eps is not None:
+        if targeted:
+            err = mean_block if stop_metric == "mean_block" else stacked
             if err <= target_eps:
                 reason = "converged"
             elif err < STALL_FACTOR * low:
@@ -691,7 +728,7 @@ def run(
         if reason is None and state.k >= limit:
             reason = "budget"
         if reason is not None or len(pending) == size:
-            _flush(records, pending, history, T, lyapunov_args)
+            _flush(records, pending, history, T, lyapunov_args, reference)
         if reason is not None:
             break
         nxt = slots[len(pending)]
@@ -702,7 +739,7 @@ def run(
             _guard(state)
         except DivergenceError as err:
             if pending:
-                _flush(records, pending, history, T, lyapunov_args)
+                _flush(records, pending, history, T, lyapunov_args, reference)
             err.last_record = records[-1]
             raise
         if collect_trace:

@@ -2,6 +2,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -749,6 +750,65 @@ def test_cli_lowerbound_curve_bytes(tmp_path, capsys):
         f"{q},{float(e)!r},{float(r)!r}\n" for q, (e, r) in enumerate(zip(exact, relaxed))
     )
     assert curve.read_bytes() == want.encode()
+
+
+def test_cli_lowerbound_creates_the_curve_directory(tmp_path, capsys):
+    config = _write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "hard_instance", "chi": 9.0, "L": 16.0, "mu": 1.0,
+                        "d_trunc": 40},
+            "stop": {"budget": 20},
+        },
+    )
+    curve = tmp_path / "missing" / "sub" / "curve.csv"
+    code = cli.main(["lowerbound", config, "--certify", "--curve", str(curve)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "certification: PASS" in out
+    assert len(curve.read_text().splitlines()) == 22
+
+
+def test_cli_validate_gossip_creates_the_export_directory(tmp_path, capsys):
+    config = _write_config(
+        tmp_path,
+        {
+            "problem": {"kind": "random_quadratic", "n": 5, "d": 2, "L": 4.0,
+                        "mu": 1.0, "seed": 0},
+            "topology": {"kind": "ring_star", "n": 5},
+            "stop": {"budget": 1},
+        },
+    )
+    export = tmp_path / "new" / "sub"
+    assert cli.main(["validate-gossip", config, "--export-dir", str(export)]) == 0
+    assert "round 1" in capsys.readouterr().out
+    assert sorted(p.name for p in export.iterdir()) == [
+        "gossip_round0.csv", "gossip_round1.csv"
+    ]
+
+
+def _old_curve_bytes(exact, relaxed):
+    """The error-floor CSV as rendered row by row, every float by its repr."""
+    rows = "".join(
+        f"{q},{float(e)!r},{float(r)!r}\n" for q, (e, r) in enumerate(zip(exact, relaxed))
+    )
+    return ("q,exact,relaxed\n" + rows).encode()
+
+
+def test_curve_rows_match_the_per_row_rendering(tmp_path):
+    # Three shapes of the all-zero suffix: none (the exact column never
+    # underflows here), from q = 1, and from q = 3793 of the 24,046 rows of
+    # the chi 30, L/mu 100 curve the certified benchmark run writes.
+    short = hardcase.lower_bound_curve(9.0, 16.0, 1.0, 100)
+    assert short[0][-1] > 0
+    spike = np.zeros(3000)
+    spike[0] = 0.25
+    long = hardcase.lower_bound_curve(30.0, 100.0, 1.0, 24045)
+    assert np.flatnonzero(long[0])[-1] == 3792 and not long[1][1:].any()
+    for exact, relaxed in (short, (spike, spike / 2), long):
+        path = tmp_path / "curve.csv"
+        cli._write_curve(path, exact, relaxed)
+        assert path.read_bytes() == _old_curve_bytes(exact, relaxed)
 
 
 def test_cli_sweep(tmp_path, capsys):

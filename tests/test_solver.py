@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gossipopt import blockvec, experiments, objectives, solver, topology
@@ -363,10 +363,36 @@ def test_run_requires_stop_criterion():
         solver.run(obj, mixing, budget=5, stop_metric="nope")
 
 
-def _block_bytes(block, obj):
-    """A BLOCK_BYTES that makes run's potential blocks ``block`` iterates
-    long on ``obj``."""
-    return block * 7 * obj.n * obj.d * 8
+def _run_in_blocks(block, obj, mixing, **kwargs):
+    """``solver.run`` with its potential taken in blocks of ``block``
+    iterates (None: as many as the default rule gives), checking through its
+    ``solver.lyapunov`` calls that every block but the last had that length.
+    A ``DivergenceError`` is re-raised after the check."""
+    n, d = obj.n, obj.d
+    block_bytes = solver.BLOCK_BYTES if block is None else block * 7 * n * d * 8
+    sizes = []
+
+    def counted(state, *args, _fn=solver.lyapunov, **kw):
+        sizes.append(1 if state._buf.ndim == 3 else len(state._buf))
+        return _fn(state, *args, **kw)
+
+    with mock.patch.object(solver, "BLOCK_BYTES", block_bytes), \
+            mock.patch.object(solver, "lyapunov", counted):
+        try:
+            result = solver.run(obj, mixing, **kwargs)
+        except solver.DivergenceError as err:
+            raised, count = err, err.last_record.k + 1
+        else:
+            raised, count = None, len(result.records)
+    if block is None:
+        fit = block_bytes // (7 * n * d * 8)
+        block = fit if fit >= solver.BLOCK_MIN else 1
+    full, rest = divmod(count, block)
+    want = [block] * full + ([rest] if rest else [])
+    assert sizes == (want if kwargs.get("track_lyapunov", True) else [])
+    if raised is not None:
+        raise raised
+    return result
 
 
 def test_divergence_guard_reports_iteration():
@@ -380,13 +406,11 @@ def test_divergence_guard_reports_iteration():
     for _ in range(7):
         state = solver.step(state, params, obj, mixing)
     want = solver.lyapunov(state, params, obj, solver.make_reference(obj, params.nu))
-    # It diverges at k = 8: in the middle of the default block and of a
-    # 3-iterate one, at the start of a 4-iterate one.
-    for block in (None, 1, 3, 4):
-        block_bytes = solver.BLOCK_BYTES if block is None else _block_bytes(block, obj)
-        with mock.patch.object(solver, "BLOCK_BYTES", block_bytes):
-            with pytest.raises(solver.DivergenceError) as err:
-                solver.run(obj, mixing, budget=50, params=params, track_lyapunov=True)
+    # It diverges at k = 8: in the middle of the default block and of a 9-
+    # and a 13-iterate one, at the start of an 8-iterate one.
+    for block in (None, 1, 8, 9, 13):
+        with pytest.raises(solver.DivergenceError) as err:
+            _run_in_blocks(block, obj, mixing, budget=50, params=params)
         assert err.value.k == 8
         assert err.value.field == "z"
         assert "|z|" in str(err.value)
@@ -491,6 +515,48 @@ def test_lyapunov_components_match_the_per_field_formula(case, seed):
 
 
 @given(
+    kind=st.sampled_from(["quadratic", "logistic"]),
+    n=st.sampled_from([3, 6]),
+    d=st.integers(2, 4),
+    kappa=st.floats(2.0, 1000.0),
+    chi=st.floats(1.0, 100.0),
+    B=st.integers(2, 60),
+    scale=st.floats(1e-6, 1e6),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_block_report_has_the_bits_of_each_iterate(kind, n, d, kappa, chi, B,
+                                                   scale, seed):
+    if kind == "quadratic":
+        obj = objectives.gen_random_quadratic(n, d, L=kappa, mu=1.0, seed=seed)
+    else:
+        obj = objectives.gen_synthetic_logistic(n, 8, d, seed=seed, kappa=kappa)
+    params = solver.derive_params(obj.L, obj.mu, chi)
+    ref = solver.make_reference(obj, params.nu)
+    states = [_random_state(n, d, seed=seed + i) for i in range(B)]
+    block = np.stack([ref._rows + scale * state._buf for state in states])
+    before = block.copy()
+    report = solver.lyapunov(solver._wrap(0, block), params, obj, ref)
+    assert np.array_equal(block, before)
+    singles = [
+        solver.lyapunov(solver._wrap(0, iterate), params, obj, ref) for iterate in block
+    ]
+
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).tobytes()
+
+    for name in ("psi_x", "psi_yz"):
+        got = getattr(report, name)
+        assert got.dtype == np.float64 and got.shape == (B,), name
+        assert bits(got) == bits([getattr(r, name) for r in singles]), name
+    assert report.components.keys() == singles[0].components.keys()
+    for name, got in report.components.items():
+        assert got.dtype == np.float64 and got.shape == (B,), name
+        assert bits(got) == bits([r.components[name] for r in singles]), name
+    assert all(isinstance(r.psi_x, float) for r in singles)
+
+
+@given(
     first=st.sampled_from("xyzm"),
     second=st.none() | st.sampled_from("xyzm"),
     bad=st.sampled_from([math.nan, math.inf, -math.inf, 1e101, -1e101]),
@@ -555,9 +621,12 @@ def _bits(record):
     )
 
 
-def _stepwise_run(obj, mixing, T, budget, params, ref, track, collect):
+def _stepwise_run(obj, mixing, T, budget, target_eps, stop_metric, params, ref,
+                  track, collect):
     """The run loop one public call at a time: ``step`` with no buffers,
-    ``lyapunov`` with none, and each record field by its formula."""
+    ``lyapunov`` with none, and each record field by its formula. It stops
+    at the target or the budget; the stall window is longer than the
+    budgets it is given."""
     state = solver.init_state(obj.n, obj.d)
     records, trace = [], []
     while True:
@@ -579,29 +648,54 @@ def _stepwise_run(obj, mixing, T, budget, params, ref, track, collect):
         ))
         if collect:
             trace.append(x.copy())
-        if state.k >= budget:
-            return records, trace if collect else None, state
+        last = records[-1]
+        err = last.err_sq_stacked if stop_metric == "stacked" else last.err_sq_mean_block
+        reason = None
+        if target_eps is not None and err <= target_eps:
+            reason = "converged"
+        elif state.k >= budget:
+            reason = "budget"
+        if reason is not None:
+            return records, trace if collect else None, state, reason
         state = solver.step(state, params, obj, mixing, T=T)
 
 
-@given(
+_STEPWISE = dict(
     kind=st.sampled_from(["quadratic", "logistic"]),
     n=st.sampled_from([3, 6]),
     d=st.integers(2, 4),
     kappa=st.floats(2.0, 100.0),
     T=st.integers(1, 3),
-    budget=st.integers(0, 25),
-    block=st.sampled_from([None, 1, 2, 3, 5]),
+    budget=st.integers(0, 40),
+    block=st.sampled_from([None, 1, 8, 9, 13]),
+    target=st.none() | st.floats(1e-4, 1.0),
+    stop_metric=st.sampled_from(solver.STOP_METRICS),
     track=st.booleans(),
     collect=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-@settings(max_examples=60, deadline=None)
+
+
+def _final_block_of_one(target, stop_metric):
+    """Nine records in blocks of eight: the last block holds one iterate."""
+    return example(kind="quadratic", n=3, d=2, kappa=10.0, T=1, budget=8, block=8,
+                   target=target, stop_metric=stop_metric, track=True,
+                   collect=False, seed=0)
+
+
+@given(**_STEPWISE)
+@_final_block_of_one(None, "stacked")
+@_final_block_of_one(1e-4, "stacked")
+@_final_block_of_one(1e-4, "mean_block")
+@settings(max_examples=80, deadline=None)
 def test_run_matches_the_stepwise_loop(kind, n, d, kappa, T, budget, block,
-                                       track, collect, seed):
+                                       target, stop_metric, track, collect,
+                                       seed):
     # ``block`` sets how many iterates share one potential pass (None: the
     # default, more than any budget here), so blocks fill, and the run stops
-    # or ends in the middle of one.
+    # or ends in the middle of one, or with a block of one. ``target`` is a
+    # fraction of the stop metric's first error, so some runs converge;
+    # without one, a run in blocks takes both errors per block.
     if kind == "quadratic":
         obj = objectives.gen_random_quadratic(n, d, L=kappa, mu=1.0, seed=seed)
         schedule = topology.star_cycle_schedule(n)
@@ -611,15 +705,19 @@ def test_run_matches_the_stepwise_loop(kind, n, d, kappa, T, budget, block,
     mixing = topology.build_mixing(schedule)
     params = solver.derive_params(obj.L, obj.mu, solver.effective_chi(mixing.chi, T))
     ref = solver.make_reference(obj, params.nu)
-    block_bytes = solver.BLOCK_BYTES if block is None else _block_bytes(block, obj)
-    with mock.patch.object(solver, "BLOCK_BYTES", block_bytes):
-        result = solver.run(
-            obj, mixing, T=T, budget=budget, params=params, reference=ref,
-            track_lyapunov=track, collect_trace=collect,
-        )
-    records, trace, state = _stepwise_run(
-        obj, mixing, T, budget, params, ref, track, collect
+    target_eps = None
+    if target is not None:
+        start = ref.x if stop_metric == "stacked" else ref.x_bar
+        target_eps = target * float(np.vdot(start, start))
+    result = _run_in_blocks(
+        block, obj, mixing, T=T, budget=budget, target_eps=target_eps,
+        params=params, reference=ref, stop_metric=stop_metric,
+        track_lyapunov=track, collect_trace=collect,
     )
+    records, trace, state, reason = _stepwise_run(
+        obj, mixing, T, budget, target_eps, stop_metric, params, ref, track, collect
+    )
+    assert result.stop_reason == reason
     assert [_bits(r) for r in result.records] == [_bits(r) for r in records]
     assert result.state.k == state.k
     assert np.array_equal(result.state._buf, state._buf)
@@ -636,9 +734,16 @@ def test_run_matches_the_stepwise_loop(kind, n, d, kappa, T, budget, block,
 
 def test_run_calls_the_traced_names_once_per_iteration(monkeypatch):
     # step and mix run once per iteration, lyapunov once per block of
-    # iterates. At 3 x 2 a block holds all six; at 30 x 80 one iterate's
-    # seven rows exceed BLOCK_BYTES, so a block is one iterate.
-    for n, d, blocks in ((3, 2, 1), (30, 80, 6)):
+    # iterates. A block is as many iterates as BLOCK_BYTES holds when that
+    # is at least eight, else one: all six at 3 x 2, 46 at 10 x 20, 8 at
+    # 30 x 39 (n d = 1170), and one at 30 x 80 and from n d = 1171 up.
+    cases = (
+        (3, 2, 5, [6]),
+        (10, 20, 100, [46, 46, 9]),
+        (30, 39, 16, [8, 8, 1]),
+        (30, 80, 5, [1] * 6),
+    )
+    for n, d, budget, blocks in cases:
         obj = objectives.gen_random_quadratic(n, d, L=5.0, mu=1.0, seed=5)
         mixing = topology.build_mixing(topology.ring_star_schedule(n))
         # Building a compound operator mixes the identity; build them first.
@@ -646,15 +751,24 @@ def test_run_calls_the_traced_names_once_per_iteration(monkeypatch):
             mixing.compound(k, 2)
         for track in (True, False):
             calls = {"step": 0, "lyapunov": 0, "mix": 0}
+            sizes = []
             for owner, name in ((solver, "step"), (solver, "lyapunov"), (blockvec, "mix")):
                 def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
                     calls[_name] += 1
+                    if _name == "lyapunov":
+                        buf = args[0]._buf
+                        sizes.append(1 if buf.ndim == 3 else len(buf))
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(owner, name, counted)
-            result = solver.run(obj, mixing, T=2, budget=5, track_lyapunov=track)
+            result = solver.run(obj, mixing, T=2, budget=budget, track_lyapunov=track)
             monkeypatch.undo()
-            assert len(result.records) == 6
-            assert calls == {"step": 5, "lyapunov": blocks if track else 0, "mix": 5}
+            assert len(result.records) == budget + 1
+            assert calls == {
+                "step": budget,
+                "lyapunov": len(blocks) if track else 0,
+                "mix": budget,
+            }
+            assert sizes == (blocks if track else [])
 
 
 def test_make_reference_solves_through_the_solver_name(monkeypatch):
