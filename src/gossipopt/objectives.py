@@ -124,8 +124,10 @@ class QuadraticObjectives:
             + self.offsets.sum()
         )
 
-    def grad(self, x):
-        return self._curvature(x) + self.lin
+    def grad(self, x, out=None):
+        """Gradients at an (n, d) point, into ``out`` when given; ``out``
+        may be ``x`` itself."""
+        return np.add(self._curvature(x), self.lin, out=out)
 
     def mean_grad(self, x):
         """Gradient of (1/n) sum_i f_i at a single point x in R^d."""
@@ -187,17 +189,21 @@ class LogisticObjectives:
 
     def value(self, x):
         """Total over the nodes at an (n, d) point, as a float; at a stack
-        of points (..., n, d), an array of the totals."""
+        of points (..., n, d), an array of the totals, whose squared norms
+        ``_row_dots`` takes in one call."""
         t = self._margins(x)
         losses = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
         if x.ndim == 2:
             return float(losses.sum() / self.m + 0.5 * self.reg * np.vdot(x, x))
-        sq = np.array([np.vdot(p, p) for p in _points(x)]).reshape(x.shape[:-2])
+        sq = _row_dots(x.reshape(-1, self.n * self.d)).reshape(x.shape[:-2])
         return losses.sum(axis=(-2, -1)) / self.m + 0.5 * self.reg * sq
 
-    def grad(self, x):
-        s = expit(self._margins(x))
-        return (s[:, None, :] @ self._signed)[:, 0, :] / self.m + self.reg * x
+    def grad(self, x, out=None):
+        """Gradients at an (n, d) point, into ``out`` when given; ``out``
+        may be ``x`` itself."""
+        data = (expit(self._margins(x))[:, None, :] @ self._signed)[:, 0, :]
+        data /= self.m
+        return np.add(data, self.reg * x, out=out)
 
     def mean_grad(self, x):
         signed = self._signed.reshape(-1, self.d)
@@ -214,9 +220,24 @@ class LogisticObjectives:
 
 def _points(x):
     """The (n, d) points of a stack (..., n, d), one at a time. A stacked
-    ``value`` takes each dot product over a point with one ``vdot``, as at a
-    single point, and so keeps the bits of the per-point calls."""
+    ``QuadraticObjectives.value`` takes each point's dot products with one
+    ``vdot``, as at a single point, and so keeps the bits of its calls."""
     return x.reshape((-1,) + x.shape[-2:])
+
+
+def _row_dots(rows, vector=None):
+    """Dot product of each row of a (K, N) array with itself, or with one
+    (N,) ``vector``: a length-K array from one matmul of (K, 1, N) rows by
+    (N, 1) columns.
+
+    numpy hands each vector-by-vector product of a matmul to the BLAS
+    ``ddot`` that ``np.vdot`` calls, so entry i has the bits of
+    ``np.vdot(rows[i], rows[i])`` or ``np.vdot(vector, rows[i])``. A
+    matrix-vector product (gemv) or ``einsum`` does not keep them. Unlike
+    ``np.vdot``, the matmul warns when a product overflows.
+    """
+    right = rows[:, :, None] if vector is None else vector[:, None]
+    return np.matmul(rows[:, None, :], right)[:, 0, 0]
 
 
 def gen_synthetic_logistic(n, m, d, seed, kappa):

@@ -457,8 +457,9 @@ class MixingSchedule:
         return self.topology.cycle
 
     def w(self, q):
-        """Gossip matrix of round q."""
-        return self._mats[q % self.cycle]
+        """Gossip matrix of round q; the matrices are one per position of
+        the cycle."""
+        return self._mats[q % len(self._mats)]
 
     def compound(self, k, T):
         """Read-only T-round operator ``I - prod_{q=kT}^{(k+1)T-1} (I - W(q))``.

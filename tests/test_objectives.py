@@ -407,6 +407,52 @@ def test_stacked_value_matches_each_point_bit_for_bit(case, count, seed):
     assert isinstance(obj.value(history[0, 4]), float)
 
 
+@settings(max_examples=60)
+@given(
+    count=st.integers(1, 64),
+    size=st.integers(1, 5000),
+    strided=st.booleans(),
+    with_vector=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(count=64, size=5000, strided=True, with_vector=True, seed=0)
+@example(count=64, size=5000, strided=False, with_vector=False, seed=1)
+def test_row_dots_have_the_bits_of_vdot(count, size, strided, with_vector, seed):
+    # The solver takes a block's dot products, one per iterate, in one
+    # _row_dots call, and its records keep the bits of one vdot each. The
+    # strided rows are those of lyapunov's flat[4::7], one x_f - x* row per
+    # iterate; each row and the vector get a magnitude from 1e-150 to 1e100.
+    rng = np.random.default_rng(seed)
+    base = 10.0 ** rng.uniform(-150, 100, (7 * count + 4, 1))
+    base = base * rng.standard_normal((7 * count + 4, size))
+    rows = base[4::7] if strided else base[:count]
+    assert rows.shape == (count, size)
+    if with_vector:
+        vector = 10.0 ** rng.uniform(-150, 100) * rng.standard_normal(size)
+        got = objectives._row_dots(rows, vector)
+        want = [np.vdot(vector, row) for row in rows]
+    else:
+        got = objectives._row_dots(rows)
+        want = [np.vdot(row, row) for row in rows]
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=50)
+@given(st.one_of(_logistic_cases(), _grouped_quadratics()))
+@example((objectives.gen_synthetic_logistic(5, 12, 6, seed=0, kappa=50.0),
+          np.arange(30.0).reshape(5, 6) / 10.0))
+@example((objectives.gen_random_quadratic(4, 5, L=9.0, mu=1.5, seed=1),
+          np.arange(20.0).reshape(4, 5) / 10.0))
+def test_grad_into_its_own_input_has_the_bits_of_grad(case):
+    # The solver's step writes the gradient over the point it is taken at.
+    obj, x = case
+    want = obj.grad(x)
+    same = x.copy()
+    assert obj.grad(same, out=same) is same
+    assert same.tobytes() == want.tobytes()
+
+
 @settings(max_examples=100)
 @given(st.one_of(_logistic_cases(), _grouped_quadratics()))
 def test_mean_hessian_matches_per_node_reference(case):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -575,6 +576,42 @@ def test_guard_names_the_first_bad_field(first, second, bad, k, seed):
     assert err.value.field == expected
     assert err.value.k == k
     assert math.isnan(err.value.magnitude) or err.value.magnitude >= 1e101
+
+
+def test_guard_passes_every_coordinate_at_the_limit_silently():
+    # The squares sum past GUARD_SQNORM, so the exact scan decides, and every
+    # coordinate is within the limit.
+    state = _random_state(4, 3, seed=2)
+    head = state._buf[:4]
+    head[:] = np.where(head < 0, -1.0, 1.0) * solver.DIVERGENCE_LIMIT
+    assert not np.vdot(head, head) <= solver.GUARD_SQNORM
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solver._guard(state)
+
+
+def test_guard_raises_silently_when_the_squares_overflow():
+    # vdot's sum of squares is inf; a matmul would warn "overflow encountered".
+    state = _random_state(4, 3, seed=3, k=5)
+    state._buf[:4] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.vdot(state._buf[:4], state._buf[:4]) == math.inf
+        with pytest.raises(solver.DivergenceError) as err:
+            solver._guard(state)
+    assert (err.value.k, err.value.field, err.value.magnitude) == (5, "x", 1e200)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("field", "xyzm")
+def test_guard_raises_on_one_coordinate_one_ulp_past_the_limit(field, sign):
+    state = _random_state(4, 3, seed=4)
+    bad = sign * np.nextafter(solver.DIVERGENCE_LIMIT, math.inf)
+    getattr(state, field)[2, 1] = bad
+    with pytest.raises(solver.DivergenceError) as err:
+        solver._guard(state)
+    assert err.value.field == field
+    assert err.value.magnitude == abs(bad)
 
 
 def _workspace_state(state):
