@@ -1,13 +1,10 @@
 """Experiment orchestration: configs, runs, sweeps, machine-readable output.
 
 Configurations are plain JSON documents; identical configurations produce
-byte-identical outputs. Records stream to CSV with the fixed header
-
-    k,comm_rounds,grad_calls,err_sq_stacked,err_sq_mean_block,psi_x,psi_yz
-
-or to JSON mirroring the same field names, with floats at full round-trip
-precision. Wall-clock time appears only in the run summary, never in the
-record stream.
+byte-identical outputs. Records stream to CSV, whose header ``CSV_HEADER``
+names the fields of ``solver.RunRecord`` in order, or to JSON with the same
+names, with floats at full round-trip precision. Wall-clock time appears
+only in the run summary, never in the record stream.
 """
 
 from __future__ import annotations
@@ -33,9 +30,9 @@ __all__ = [
     "sweep",
 ]
 
-CSV_HEADER = "k,comm_rounds,grad_calls,err_sq_stacked,err_sq_mean_block,psi_x,psi_yz"
+_RECORD_FIELDS = [f.name for f in fields(solver.RunRecord)]
 
-_RECORD_FIELDS = CSV_HEADER.split(",")
+CSV_HEADER = ",".join(_RECORD_FIELDS)
 
 # One CSV row: %s gives str() of an int and of a float, whose str() is its
 # round-trip repr.
@@ -147,11 +144,7 @@ class ExperimentConfig:
                 "certification replays the instance's own star cycle; "
                 "drop the topology section"
             )
-        unknown = sorted(
-            set(self.param_overrides) - {f.name for f in fields(solver.Params)}
-        )
-        if unknown:
-            raise ValueError(f"unknown parameter override: {', '.join(unknown)}")
+        solver.check_overrides(self.param_overrides)
 
     @classmethod
     def from_dict(cls, obj):
@@ -299,9 +292,7 @@ def run_experiment(config, output_dir=None, *, mixing_memo=None):
     """
     started = time.perf_counter()
     objectives, instance = build_problem(config.problem)
-    nu = config.param_overrides.get("nu")
-    if nu is not None and not nu < objectives.mu:
-        raise ValueError(f"override nu={nu} must be below mu={objectives.mu}")
+    solver.check_overrides(config.param_overrides, objectives.mu)
     mixing = _build_mixing(config, instance, objectives.n, mixing_memo)
 
     chi_measured = mixing.chi

@@ -40,7 +40,7 @@ communication rounds per iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -57,6 +57,7 @@ __all__ = [
     "RunResult",
     "DivergenceError",
     "STOP_METRICS",
+    "check_overrides",
     "derive_params",
     "effective_chi",
     "consensus_rounds",
@@ -140,17 +141,9 @@ class Params:
     zeta: float
 
     def override(self, **values):
-        """Replace selected fields; every override must stay positive.
-
-        ``tau1`` and ``sigma1`` must also stay below 1. The ``nu < mu``
-        invariant needs mu, which these fields do not carry; the caller
-        checks it.
-        """
-        for name, value in values.items():
-            if not value > 0:
-                raise ValueError(f"override {name}={value} must be positive")
-            if name in ("tau1", "sigma1") and not value < 1:
-                raise ValueError(f"override {name}={value} must be below 1")
+        """Replace selected fields, checked by :func:`check_overrides`
+        without mu, which these fields do not carry."""
+        check_overrides(values)
         return replace(self, **values)
 
     @cached_property
@@ -178,6 +171,23 @@ class Params:
 
         update = np.array(_rules(self, *unit[:7], grad, mix))
         return seen["gather"], seen["send"], update
+
+
+def check_overrides(values, mu=None):
+    """Reject overrides, a dict of ``Params`` field names to numbers, that
+    leave the certificate's invariants: every name must be a field, every
+    value positive, ``tau1`` and ``sigma1`` below 1, and ``nu`` below ``mu``
+    when ``mu`` is given."""
+    unknown = sorted(set(values) - {f.name for f in fields(Params)})
+    if unknown:
+        raise ValueError(f"unknown parameter override: {', '.join(unknown)}")
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"override {name}={value} must be positive")
+        if name in ("tau1", "sigma1") and not value < 1:
+            raise ValueError(f"override {name}={value} must be below 1")
+        if name == "nu" and mu is not None and not value < mu:
+            raise ValueError(f"override nu={value} must be below mu={mu}")
 
 
 def derive_params(L, mu, chi):
@@ -265,27 +275,19 @@ class State:
     """Full solver state after k iterations.
 
     The fields x, y, z, m, x_f, y_f and z_f are, in that order, the rows of
-    one (7, n, d) buffer. Construction copies the seven arrays into it.
+    ``buf``, a (7, n, d) float array that the state owns uncopied.
     """
 
     x, y, z, m, x_f, y_f, z_f = (_Row(i) for i in range(7))
 
-    def __init__(self, k, x, y, z, m, x_f, y_f, z_f):
-        self.k = k
-        self._buf = np.array([x, y, z, m, x_f, y_f, z_f], dtype=float)
-
-
-def _wrap(k, buf):
-    """State at iteration k that owns ``buf`` as its row buffer, uncopied."""
-    state = State.__new__(State)
-    state.k, state._buf = k, buf
-    return state
+    def __init__(self, k, buf):
+        self.k, self._buf = k, buf
 
 
 def init_state(n, d):
     """All-zero initial state, which places z in the zero-block-sum
     subspace as required."""
-    return _wrap(0, np.zeros((7, n, d)))
+    return State(0, np.zeros((7, n, d)))
 
 
 @dataclass(frozen=True)
@@ -334,7 +336,7 @@ def make_reference(objectives, nu):
 
 def saddle_state(reference):
     """State sitting exactly at the saddle point, with zero momentum buffer."""
-    return _wrap(0, reference._rows.copy())
+    return State(0, reference._rows.copy())
 
 
 def _rules(p, x, y, z, m, x_f, y_f, z_f, grad, mix):
@@ -421,7 +423,7 @@ def step(state, params, objectives, mixing, T=1, *, work=None, out=None):
     mixed = blockvec.mix(mixing.compound(state.k, T), sent.reshape(n, 2 * d))
     np.copyto(work[8:], mixed.reshape(n, 2, d).transpose(1, 0, 2))
     np.matmul(update, rows, out=out.reshape(7, -1))
-    return _wrap(state.k + 1, out)
+    return State(state.k + 1, out)
 
 
 @dataclass(frozen=True)
@@ -598,7 +600,7 @@ def _flush(records, pending, history, T, lyapunov_args, reference):
         # One iterate goes as a (7, n, d) buffer: numpy loops over a leading
         # axis of length one more slowly than over none.
         block = history[0] if count == 1 else history[:count]
-        report = lyapunov(_wrap(ks[0], block), *lyapunov_args, diff=block)
+        report = lyapunov(State(ks[0], block), *lyapunov_args, diff=block)
         if count == 1:
             psi_x, psi_yz = [report.psi_x], [report.psi_yz]
         else:
@@ -708,7 +710,7 @@ def run(
     take_stacked = size == 1 or (targeted and stop_metric == "stacked")
     take_mean = size == 1 or (targeted and stop_metric == "mean_block")
     work = np.zeros((10, n, d))
-    state = _wrap(0, work[:7])
+    state = State(0, work[:7])
     history = np.empty((size, 7, n, d))
     history[0] = state._buf
     slots = list(history)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -179,6 +180,30 @@ def test_override_nu_must_stay_below_mu(monkeypatch):
         cfg = _quadratic_config(param_overrides={"nu": nu})
         with pytest.raises(ValueError, match="nu=.*mu=1"):
             experiments.run_experiment(cfg)
+
+
+def _unreachable(what):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{what} reached with a bad override")
+    return fail
+
+
+@pytest.mark.parametrize(
+    "name, value, rule",
+    [("tau1", 2.0, "below 1"), ("sigma1", 1.0, "below 1"), ("gamma", -1.0, "positive")],
+)
+def test_override_bound_fails_at_load(monkeypatch, name, value, rule):
+    monkeypatch.setattr(experiments, "build_problem", _unreachable("build_problem"))
+    monkeypatch.setattr(experiments.topology, "build_mixing",
+                        _unreachable("build_mixing"))
+    obj = {
+        "problem": _QUADRATIC,
+        "topology": _RING_STAR,
+        "algorithm": {"param_overrides": {name: value}},
+        "stop": {"budget": 10},
+    }
+    with pytest.raises(ValueError, match=f"^override {name}={value} must be {rule}$"):
+        ExperimentConfig.from_dict(obj)
 
 
 def test_certify_requires_hard_instance():
@@ -861,6 +886,65 @@ def test_cli_sweep_names_a_diverged_row(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1:] == ["1,diverged,,,"]
     assert captured.err.startswith("diverged: sweep value 1: divergence at iteration")
+
+
+def test_cli_sweep_with_a_bad_override_fails_before_any_row(tmp_path, capsys,
+                                                           monkeypatch):
+    monkeypatch.setattr(experiments, "build_problem", _unreachable("build_problem"))
+    config = _write_config(
+        tmp_path,
+        {
+            "problem": _QUADRATIC,
+            "topology": _RING_STAR,
+            "algorithm": {"param_overrides": {"tau1": 2.0}},
+            "stop": {"budget": 5},
+        },
+    )
+    assert cli.main(["sweep", config, "--axis", "T", "--values", "1,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: override tau1=2.0 must be below 1\n"
+
+
+def _failing_certificate(monkeypatch):
+    certify_run = hardcase.certify_run
+
+    def failing(*args, **kwargs):
+        report = certify_run(*args, **kwargs)
+        return dataclasses.replace(report, first_violation={"check": "injected"})
+
+    monkeypatch.setattr(hardcase, "certify_run", failing)
+
+
+_HARD = {"kind": "hard_instance", "chi": 9.0, "L": 16.0, "mu": 1.0, "d_trunc": 40}
+
+
+def test_cli_run_returns_2_on_a_failed_certificate(tmp_path, capsys, monkeypatch):
+    _failing_certificate(monkeypatch)
+    config = _write_config(
+        tmp_path, {"problem": _HARD, "certify": True, "stop": {"budget": 10}}
+    )
+    assert cli.main(["run", config]) == 2
+    assert json.loads(capsys.readouterr().out)["certified"] is False
+
+
+def test_cli_lowerbound_needs_a_hard_instance(tmp_path, capsys):
+    config = _write_config(
+        tmp_path, {"problem": _QUADRATIC, "topology": _RING_STAR, "stop": {"budget": 1}}
+    )
+    assert cli.main(["lowerbound", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lowerbound needs a hard_instance problem\n"
+
+
+def test_cli_lowerbound_prints_a_failed_certificate(tmp_path, capsys, monkeypatch):
+    _failing_certificate(monkeypatch)
+    config = _write_config(tmp_path, {"problem": _HARD, "stop": {"budget": 10}})
+    assert cli.main(["lowerbound", config, "--certify"]) == 2
+    out = capsys.readouterr().out
+    _, violation = out.split("certification: FAIL\n")
+    assert json.loads(violation) == {"check": "injected"}
 
 
 def test_declared_chi_run_is_not_stopped_as_stalled():

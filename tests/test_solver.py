@@ -38,30 +38,28 @@ def _transcribed_step(state, p, obj, mixing, T=1):
     payload = (p.gamma / p.nu) * s + m
     mixed_payload = blockvec.multi_mix(mixing, state.k, T, payload)
     mixed_s = blockvec.multi_mix(mixing, state.k, T, s)
-    return solver.State(
-        k=state.k + 1,
-        x=x1,
-        y=y1,
-        z=z + p.gamma * p.delta * (z_g - z) - mixed_payload,
-        m=payload - mixed_payload,
-        x_f=x_g + p.tau2 * (x1 - x),
-        y_f=y_g + p.sigma2 * (y1 - y),
-        z_f=z_g - p.zeta * mixed_s,
-    )
+    return solver.State(state.k + 1, np.array([
+        x1,
+        y1,
+        z + p.gamma * p.delta * (z_g - z) - mixed_payload,
+        payload - mixed_payload,
+        x_g + p.tau2 * (x1 - x),
+        y_g + p.sigma2 * (y1 - y),
+        z_g - p.zeta * mixed_s,
+    ]))
 
 
 def _random_state(n, d, seed, k=0):
     rng = np.random.default_rng(seed)
-    return solver.State(
-        k=k,
-        x=rng.standard_normal((n, d)),
-        y=rng.standard_normal((n, d)),
-        z=blockvec.project_consensus(rng.standard_normal((n, d))),
-        m=rng.standard_normal((n, d)),
-        x_f=rng.standard_normal((n, d)),
-        y_f=rng.standard_normal((n, d)),
-        z_f=blockvec.project_consensus(rng.standard_normal((n, d))),
-    )
+    return solver.State(k, np.array([
+        rng.standard_normal((n, d)),
+        rng.standard_normal((n, d)),
+        blockvec.project_consensus(rng.standard_normal((n, d))),
+        rng.standard_normal((n, d)),
+        rng.standard_normal((n, d)),
+        rng.standard_normal((n, d)),
+        blockvec.project_consensus(rng.standard_normal((n, d))),
+    ]))
 
 
 def test_derive_params_frozen_example():
@@ -537,10 +535,10 @@ def test_block_report_has_the_bits_of_each_iterate(kind, n, d, kappa, chi, B,
     states = [_random_state(n, d, seed=seed + i) for i in range(B)]
     block = np.stack([ref._rows + scale * state._buf for state in states])
     before = block.copy()
-    report = solver.lyapunov(solver._wrap(0, block), params, obj, ref)
+    report = solver.lyapunov(solver.State(0, block), params, obj, ref)
     assert np.array_equal(block, before)
     singles = [
-        solver.lyapunov(solver._wrap(0, iterate), params, obj, ref) for iterate in block
+        solver.lyapunov(solver.State(0, iterate), params, obj, ref) for iterate in block
     ]
 
     def bits(values):
@@ -619,7 +617,7 @@ def _workspace_state(state):
     workspace, as :func:`solver.run` holds its state."""
     work = np.zeros((10, *state._buf.shape[1:]))
     work[:7] = state._buf
-    return solver._wrap(state.k, work[:7]), work
+    return solver.State(state.k, work[:7]), work
 
 
 @given(case=_fused_cases())
