@@ -64,11 +64,17 @@ _INTEGER_KEYS = {"n", "m", "d", "seed", "pool_size", "d_trunc"}
 
 
 def _is_number(value, kind=numbers.Real):
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """A finite number of the kind, not a bool. JSON documents may spell
+    NaN and Infinity, which no config value takes; an integer, of any size,
+    is finite."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return False
+    return isinstance(value, numbers.Integral) or math.isfinite(value)
 
 
 def _check_numbers(name, section):
-    """Reject a section that is not an object of numbers besides its kind.
+    """Reject a section that is not an object of finite numbers besides its
+    kind.
 
     A seed must also be >= 0; numpy would reject it only once the run builds
     the problem or the pool.
@@ -82,7 +88,7 @@ def _check_numbers(name, section):
             continue
         integer = key in _INTEGER_KEYS
         if not _is_number(value, numbers.Integral if integer else numbers.Real):
-            what = "an integer" if integer else "a number"
+            what = "an integer" if integer else "a finite number"
             raise ValueError(f"{name} key {key!r} must be {what}, got {value!r}")
         if key == "seed" and value < 0:
             raise ValueError(f"{name} key 'seed' must be >= 0, got {value!r}")
@@ -122,8 +128,9 @@ class ExperimentConfig:
              budget is None or _is_number(budget, numbers.Integral) and budget >= 0,
              "an integer >= 0"),
             ("target_eps", eps, eps is None or _is_number(eps) and eps > 0,
-             "a number > 0"),
-            ("chi", chi, chi is None or _is_number(chi) and chi >= 1, "a number >= 1"),
+             "a finite number > 0"),
+            ("chi", chi, chi is None or _is_number(chi) and chi >= 1,
+             "a finite number >= 1"),
             ("record_lyapunov", self.record_lyapunov,
              isinstance(self.record_lyapunov, bool), "true or false"),
             ("certify", self.certify, isinstance(self.certify, bool), "true or false"),
@@ -145,6 +152,23 @@ class ExperimentConfig:
                 "drop the topology section"
             )
         solver.check_overrides(self.param_overrides)
+        if "kind" not in self.problem:
+            raise ValueError("problem section needs a 'kind'")
+        kind = self.problem["kind"]
+        if kind not in _PROBLEM_KEYS:
+            raise ValueError(f"unknown problem kind {kind!r}")
+        given, keys = set(self.problem) - {"kind"}, _PROBLEM_KEYS[kind]
+        for word, names in (("unknown", given - keys), ("missing", keys - given)):
+            if names:
+                names = ", ".join(sorted(names))
+                raise ValueError(f"{word} key for a {kind} problem: {names}")
+        if self.topology is None:
+            if kind != "hard_instance":
+                raise ValueError("config needs a topology section for this problem kind")
+        else:
+            missing = sorted({"kind", "n"} - set(self.topology))
+            if missing:
+                raise ValueError(f"topology section needs {' and '.join(missing)}")
 
     @classmethod
     def from_dict(cls, obj):
@@ -188,20 +212,12 @@ class ExperimentResult:
 def build_problem(problem):
     """Return (objectives, hard_instance_or_None) for a problem section.
 
-    Every key the problem kind takes is required; any other is an error.
-    The keys besides ``kind`` are the builder's keyword arguments.
+    The section is one that ``ExperimentConfig`` has checked: it holds its
+    ``kind`` and exactly the keys that kind takes, which are the generator's
+    keyword arguments.
     """
     params = dict(problem)
-    if "kind" not in params:
-        raise ValueError("problem section needs a 'kind'")
     kind = params.pop("kind")
-    if kind not in _PROBLEM_KEYS:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    given, keys = set(params), _PROBLEM_KEYS[kind]
-    for word, names in (("unknown", given - keys), ("missing", keys - given)):
-        if names:
-            names = ", ".join(sorted(names))
-            raise ValueError(f"{word} key for a {kind} problem: {names}")
     if kind == "hard_instance":
         instance = hardcase.build_hard_instance(**params)
         return instance.objectives, instance
@@ -212,17 +228,11 @@ def build_problem(problem):
 
 
 def _build_schedule(config, instance):
-    if config.topology is not None:
-        opts = dict(config.topology)
-        missing = sorted({"kind", "n"} - set(opts))
-        if missing:
-            raise ValueError(f"topology section needs {' and '.join(missing)}")
-        kind = opts.pop("kind")
-        n = opts.pop("n")
-        return topology.make_schedule(kind, n, **opts)
-    if instance is not None:
+    """The config's topology schedule, or the hard instance's own when the
+    config, checked at load, has no topology section."""
+    if config.topology is None:
         return instance.schedule
-    raise ValueError("config needs a topology section for this problem kind")
+    return topology.make_schedule(**config.topology)
 
 
 def _resolve_output_path(config, output_dir):

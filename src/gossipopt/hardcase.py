@@ -76,10 +76,6 @@ class HardInstance:
     objectives: QuadraticObjectives
     schedule: object
 
-    @property
-    def group_size(self):
-        return self.n // 3
-
     def solution(self):
         return hard_solution(self.L, self.mu, self.d_trunc)
 
@@ -249,21 +245,25 @@ class CertReport:
     support_ok: tuple
     distance_ok: tuple
     first_violation: dict | None
-    q_total: int
 
     @property
     def passed(self):
         return self.first_violation is None
 
 
-def _support_lengths(x, zero_tol):
-    """Per-row length of the prefix holding every coordinate above zero_tol."""
-    mask = np.abs(x) > zero_tol
+# A trace coordinate counts toward a node's support when its magnitude
+# exceeds this.
+ZERO_TOL = 1e-12
+
+
+def _support_lengths(x):
+    """Per-row length of the prefix holding every coordinate above ZERO_TOL."""
+    mask = np.abs(x) > ZERO_TOL
     last = x.shape[1] - np.argmax(mask[:, ::-1], axis=1)
     return np.where(mask.any(axis=1), last, 0)
 
 
-def certify_run(instance, xs, T=1, zero_tol=1e-12):
+def certify_run(instance, xs, T=1):
     """Check a traced run of a first-order decentralized method.
 
     The trace ``xs`` holds the stacked x iterate after 0, 1, 2, ...
@@ -273,7 +273,8 @@ def certify_run(instance, xs, T=1, zero_tol=1e-12):
     node:
 
     (a) the nonzero-coordinate prefix of x_i never exceeds the tracker's
-        worst-case span s_i;
+        worst-case span s_i, a coordinate counting as nonzero when its
+        magnitude exceeds the module's ``ZERO_TOL``;
     (b) ||x_i - x*||^2 >= rho^(2 s_i + 2) / (1 - rho^2) minus the
         truncation slack 2 rho^(2 d_trunc) / (1 - rho^2).
 
@@ -326,7 +327,7 @@ def certify_run(instance, xs, T=1, zero_tol=1e-12):
         if span.min() >= instance.d_trunc and floor.max() <= 0.0:
             saturated = True
             continue
-        support = _support_lengths(x, zero_tol)
+        support = _support_lengths(x)
         dist = np.sum((x - x_star) ** 2, axis=1)
         bad_a = support > span
         bad_b = dist < floor
@@ -359,7 +360,6 @@ def certify_run(instance, xs, T=1, zero_tol=1e-12):
         support_ok=tuple(support_ok) + skipped,
         distance_ok=tuple(distance_ok) + skipped,
         first_violation=first_violation,
-        q_total=k * T,
     )
 
 

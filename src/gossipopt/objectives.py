@@ -8,7 +8,8 @@ whose curvature matrices are shared by equal, contiguous groups of nodes
 batched matmuls: ``grad`` and ``value`` take stacked (n, d) points, and
 ``mean_grad`` and ``mean_hessian`` take one point in R^d. ``value`` also
 takes points stacked along leading axes, (..., n, d), and returns one total
-per point, each with the bits of its own call.
+per point, each with the bits of its own call. Both take their smoothness
+and strong-convexity constants from the caller; each generator knows them.
 ``reference_minimizer`` runs Newton's method on the averaged objective with
 those two, and reaches its minimizer to the float floor in a few steps.
 """
@@ -35,7 +36,9 @@ class QuadraticObjectives:
     node its own matrix; the hard instance stores only its K = 3. Either way
     ``grad`` and ``value`` apply the curvature to all nodes with one batched
     matmul, which computes x_i'Q rather than Q x_i and so relies on every
-    matrix being symmetric.
+    matrix being symmetric. At a stack of points, ``value`` takes that
+    matmul over the whole stack and each point's two dot products with one
+    ``_row_dots`` call each.
 
     Parameters
     ----------
@@ -43,22 +46,21 @@ class QuadraticObjectives:
         Symmetric positive definite curvature per group; K must divide n.
     lin : ndarray, shape (n, d)
         Linear terms, per node.
+    L, mu : float
+        Smoothness and strong-convexity constants, L >= mu > 0: bounds on
+        the curvature spectra, which are not computed here.
     offsets : ndarray, shape (n,), optional
         Additive constants (affect values, not gradients).
-    L, mu : float, optional
-        Smoothness and strong-convexity constants. Computed from the
-        curvature spectra when omitted.
 
     Raises
     ------
     ValueError
-        If the shapes disagree, K does not divide n, or some Q differs from
-        its transpose by more than 1e-12 relative to the largest entry.
+        If the shapes disagree, K does not divide n, some Q differs from
+        its transpose by more than 1e-12 relative to the largest entry, or
+        not L >= mu > 0.
     """
 
-    kind = "quadratic"
-
-    def __init__(self, quad, lin, offsets=None, L=None, mu=None):
+    def __init__(self, quad, lin, L, mu, offsets=None):
         quad = np.asarray(quad, dtype=float)
         lin = np.asarray(lin, dtype=float)
         if quad.ndim != 3 or quad.shape[1] != quad.shape[2]:
@@ -91,10 +93,6 @@ class QuadraticObjectives:
                 f"offsets shape {self.offsets.shape} disagrees with lin shape "
                 f"{lin.shape}: need one offset per node, shape ({self.n},)"
             )
-        if L is None or mu is None:
-            eigs = np.linalg.eigvalsh(quad)
-            L = float(eigs.max()) if L is None else L
-            mu = float(eigs.min()) if mu is None else mu
         if not L >= mu > 0:
             raise ValueError(f"need L >= mu > 0, got L={L}, mu={mu}")
         self.L = float(L)
@@ -104,25 +102,25 @@ class QuadraticObjectives:
         self._mean_lin = lin.mean(axis=0)
 
     def _curvature(self, x):
-        """Q_i x_i for every node: (x_i'Q)' per group, Q symmetric."""
-        groups = self.quad.shape[0]
-        return (x.reshape(groups, self._group_size, self.d) @ self.quad).reshape(
-            self.n, self.d
-        )
+        """Q_i x_i for every node of every point (..., n, d): (x_i'Q)' per
+        group, Q symmetric. Each point's products have the bits of a call
+        on that point alone."""
+        grouped = x.shape[:-2] + (self.quad.shape[0], self._group_size, self.d)
+        return (x.reshape(grouped) @ self.quad).reshape(x.shape)
 
     def value(self, x):
         """Total over the nodes at an (n, d) point, as a float; at a stack
-        of points (..., n, d), an array of the totals, one call per point."""
-        if x.ndim > 2:
-            return np.array([self._total(p) for p in _points(x)]).reshape(x.shape[:-2])
-        return self._total(x)
-
-    def _total(self, x):
-        return float(
-            0.5 * np.vdot(x, self._curvature(x))
-            + np.vdot(self.lin, x)
-            + self.offsets.sum()
-        )
+        of points (..., n, d), an array of the totals, whose dot products
+        ``_row_dots`` takes with the bits of the point's own ``vdot``."""
+        curved = self._curvature(x)
+        if x.ndim == 2:
+            return float(
+                0.5 * np.vdot(x, curved) + np.vdot(self.lin, x) + self.offsets.sum()
+            )
+        rows = x.reshape(-1, self.n * self.d)
+        quad = _row_dots(rows, curved.reshape(rows.shape))
+        lin = _row_dots(rows, self.lin.ravel())
+        return (0.5 * quad + lin + self.offsets.sum()).reshape(x.shape[:-2])
 
     def grad(self, x, out=None):
         """Gradients at an (n, d) point, into ``out`` when given; ``out``
@@ -142,8 +140,10 @@ class LogisticObjectives:
     """Per-node l2-regularized logistic losses over (features, labels).
 
     f_i(x) = (1/m) sum_j log(1 + exp(-b_ij a_ij'x)) + (reg/2) ||x||^2
-    with labels in {-1, +1}. Smoothness uses the standard curvature bound
-    lambda_max(A_i'A_i) / (4m) + reg; strong convexity equals reg.
+    with labels in {-1, +1}. The caller passes the smoothness constant
+    ``L``, which :func:`gen_synthetic_logistic` sets to the standard
+    curvature bound max_i lambda_max(A_i'A_i) / (4m) + reg; strong
+    convexity equals reg.
 
     The oracles read one label-signed copy of the data, the rows
     ``-b_ij a_ij`` (exact, since b_ij = +-1). Then the margins
@@ -153,9 +153,7 @@ class LogisticObjectives:
     ``np.logaddexp(0, t)`` takes, so it never overflows.
     """
 
-    kind = "logistic"
-
-    def __init__(self, features, labels, reg, L=None):
+    def __init__(self, features, labels, reg, L):
         features = np.asarray(features, dtype=float)
         labels = np.asarray(labels, dtype=float)
         if features.ndim != 3:
@@ -174,11 +172,6 @@ class LogisticObjectives:
         self._signed = -labels[:, :, None] * features
         self.reg = float(reg)
         self.n, self.m, self.d = features.shape
-        if L is None:
-            top = max(
-                float(np.linalg.eigvalsh(a.T @ a)[-1]) for a in self._signed
-            )
-            L = top / (4.0 * self.m) + self.reg
         self.L = float(L)
         self.mu = self.reg
 
@@ -218,25 +211,19 @@ class LogisticObjectives:
         return weighted @ signed / (self.m * self.n) + self.reg * np.eye(self.d)
 
 
-def _points(x):
-    """The (n, d) points of a stack (..., n, d), one at a time. A stacked
-    ``QuadraticObjectives.value`` takes each point's dot products with one
-    ``vdot``, as at a single point, and so keeps the bits of its calls."""
-    return x.reshape((-1,) + x.shape[-2:])
-
-
-def _row_dots(rows, vector=None):
-    """Dot product of each row of a (K, N) array with itself, or with one
-    (N,) ``vector``: a length-K array from one matmul of (K, 1, N) rows by
-    (N, 1) columns.
+def _row_dots(rows, other=None):
+    """Dot product of each row of a (K, N) array with itself, with one (N,)
+    vector ``other``, or with the same row of a (K, N) array ``other``: a
+    length-K array from one matmul of (K, 1, N) rows by (N, 1) columns.
 
     numpy hands each vector-by-vector product of a matmul to the BLAS
     ``ddot`` that ``np.vdot`` calls, so entry i has the bits of
-    ``np.vdot(rows[i], rows[i])`` or ``np.vdot(vector, rows[i])``. A
-    matrix-vector product (gemv) or ``einsum`` does not keep them. Unlike
-    ``np.vdot``, the matmul warns when a product overflows.
+    ``np.vdot(rows[i], rows[i])``, ``np.vdot(other, rows[i])`` or
+    ``np.vdot(rows[i], other[i])``. A matrix-vector product (gemv) or
+    ``einsum`` does not keep them. Unlike ``np.vdot``, the matmul warns when
+    a product overflows.
     """
-    right = rows[:, :, None] if vector is None else vector[:, None]
+    right = (rows if other is None else other)[..., None]
     return np.matmul(rows[:, None, :], right)[:, 0, 0]
 
 

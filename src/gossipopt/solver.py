@@ -176,12 +176,14 @@ class Params:
 def check_overrides(values, mu=None):
     """Reject overrides, a dict of ``Params`` field names to numbers, that
     leave the certificate's invariants: every name must be a field, every
-    value positive, ``tau1`` and ``sigma1`` below 1, and ``nu`` below ``mu``
-    when ``mu`` is given."""
+    value finite and positive, ``tau1`` and ``sigma1`` below 1, and ``nu``
+    below ``mu`` when ``mu`` is given."""
     unknown = sorted(set(values) - {f.name for f in fields(Params)})
     if unknown:
         raise ValueError(f"unknown parameter override: {', '.join(unknown)}")
     for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"override {name}={value} must be finite")
         if not value > 0:
             raise ValueError(f"override {name}={value} must be positive")
         if name in ("tau1", "sigma1") and not value < 1:
@@ -551,8 +553,6 @@ class RunResult:
 
     records: list
     state: State
-    params: Params
-    reference: SaddleReference
     stop_reason: str
     trace: list | None = None
 
@@ -676,8 +676,7 @@ def run(
     -------
     RunResult
         Records (one per visited iterate, including k = 0), final state,
-        parameters, reference, the ``stop_reason``, and optionally the x
-        trace.
+        the ``stop_reason``, and optionally the x trace.
 
     Raises
     ------
@@ -757,4 +756,4 @@ def run(
         if collect_trace:
             trace.append(state.x.copy())
 
-    return RunResult(records, state, params, reference, reason, trace=trace)
+    return RunResult(records, state, reason, trace=trace)

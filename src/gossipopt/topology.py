@@ -374,8 +374,6 @@ class ValidationReport:
     kernel_ok: bool
     range_ok: bool
     contraction_ok: bool
-    kernel_residual: float
-    range_residual: float
     spectral_worst_ratio: float
 
     @property
@@ -409,8 +407,6 @@ def validate_gossip(w, edges, chi):
     sparsity_ok = not np.any(off_edge & (np.abs(w) > 1e-12))
 
     ones = np.ones(n)
-    kernel_residual = float(np.abs(w @ ones).max())
-    range_residual = float(np.abs(ones @ w).max())
 
     p0 = np.eye(n) - np.full((n, n), 1.0 / n)
     m = w - np.eye(n)
@@ -418,11 +414,9 @@ def validate_gossip(w, edges, chi):
 
     return ValidationReport(
         sparsity_ok=sparsity_ok,
-        kernel_ok=kernel_residual <= 1e-12,
-        range_ok=range_residual <= 1e-12,
+        kernel_ok=float(np.abs(w @ ones).max()) <= 1e-12,
+        range_ok=float(np.abs(ones @ w).max()) <= 1e-12,
         contraction_ok=spectral_worst <= 1.0 - 1.0 / chi + 1e-12,
-        kernel_residual=kernel_residual,
-        range_residual=range_residual,
         spectral_worst_ratio=spectral_worst,
     )
 
@@ -434,16 +428,14 @@ class MixingSchedule:
     ----------
     topology : TopologySchedule
     chi : float
-        Measured condition number over the cycle.
-    per_round : tuple of float
-        Per-position Laplacian condition numbers.
+        Measured condition number over the cycle: the largest Laplacian
+        condition number of its positions.
     """
 
-    def __init__(self, topology, mats, chi, per_round):
+    def __init__(self, topology, mats, chi):
         self.topology = topology
         self._mats = tuple(mats)
         self.chi = chi
-        self.per_round = per_round
         self._compound = {}
         for mat in self._mats:
             mat.setflags(write=False)
@@ -502,15 +494,15 @@ def build_mixing(schedule):
         would fail for every finite chi).
     """
     mats = []
-    per_round = []
+    chis = []
     for q in range(schedule.cycle):
         lap = laplacian(schedule.edges(q), schedule.n)
         evals = np.linalg.eigvalsh(lap)
         if evals[-1] <= 0 or evals[1] <= EIGENVALUE_FLOOR * evals[-1]:
             raise ValueError("gossip matrix requires a connected graph")
         mats.append(lap / float(evals[-1]))
-        per_round.append(float(evals[-1] / evals[1]))
-    return MixingSchedule(schedule, mats, max(per_round), tuple(per_round))
+        chis.append(float(evals[-1] / evals[1]))
+    return MixingSchedule(schedule, mats, max(chis))
 
 
 def save_gossip_csv(w, path):

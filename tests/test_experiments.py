@@ -184,7 +184,7 @@ def test_override_nu_must_stay_below_mu(monkeypatch):
 
 def _unreachable(what):
     def fail(*args, **kwargs):
-        raise AssertionError(f"{what} reached with a bad override")
+        raise AssertionError(f"{what} reached with a bad config")
     return fail
 
 
@@ -418,7 +418,12 @@ def test_run_experiment_rejects_unknown_problem_and_topology_keys(
     config, section, extra, named
 ):
     cfg = config()
-    setattr(cfg, section, {**getattr(cfg, section), **extra})
+    changed = {**getattr(cfg, section), **extra}
+    if section == "problem":  # checked when the config loads
+        with pytest.raises(ValueError, match=named):
+            config(problem=changed)
+        return
+    setattr(cfg, section, changed)
     with pytest.raises(ValueError, match=named):
         experiments.run_experiment(cfg)
 
@@ -486,6 +491,37 @@ def test_wrongly_typed_config_is_named_at_load(tmp_path, capsys, change, named):
     path = _write_config(tmp_path, {**config, **change})
     assert cli.main(["run", path]) == 1
     assert f"error: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"problem": {**_QUADRATIC, "L": math.inf}},
+         "problem key 'L' must be a finite number, got inf"),
+        ({"chi": math.inf}, "chi must be a finite number >= 1, got inf"),
+        ({"algorithm": {"param_overrides": {"gamma": math.inf}}},
+         "param_overrides key 'gamma' must be a finite number, got inf"),
+        ({"stop": {"budget": 1, "target_eps": math.inf}},
+         "target_eps must be a finite number > 0, got inf"),
+        ({"problem": {**_QUADRATIC, "mu": math.nan}},
+         "problem key 'mu' must be a finite number, got nan"),
+    ],
+    ids=["problem_L", "chi", "override_gamma", "target_eps", "problem_mu_nan"],
+)
+def test_non_finite_config_number_is_named_at_load(tmp_path, capsys, monkeypatch,
+                                                   change, named):
+    # Python's json reads Infinity and NaN. Unchecked, L = inf fails in the
+    # generator, chi = inf divides by zero, gamma = inf overflows mid-run
+    # and target_eps = inf stops as converged at k = 0.
+    monkeypatch.setattr(experiments, "build_problem", _unreachable("build_problem"))
+    config = {"problem": _QUADRATIC, "topology": _RING_STAR, "stop": {"budget": 1}}
+    path = _write_config(tmp_path, {**config, **change})
+    token = "NaN" if named.endswith("nan") else "Infinity"
+    assert token in (tmp_path / "config.json").read_text()
+    assert cli.main(["run", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
 
 
 @pytest.mark.parametrize("section", ["problem", "topology"])
@@ -904,6 +940,18 @@ def test_cli_sweep_with_a_bad_override_fails_before_any_row(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: override tau1=2.0 must be below 1\n"
+
+
+def test_cli_sweep_with_a_missing_problem_key_fails_before_any_row(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setattr(experiments, "build_problem", _unreachable("build_problem"))
+    config = _write_config(
+        tmp_path, {"problem": _UNSEEDED, "topology": _RING_STAR, "stop": {"budget": 5}}
+    )
+    assert cli.main(["sweep", config, "--axis", "T", "--values", "1,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: missing key for a random_quadratic problem: seed\n"
 
 
 def _failing_certificate(monkeypatch):

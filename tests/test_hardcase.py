@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ def test_rho_closed_form_frozen():
 def test_build_partitions_and_centers():
     inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
     assert inst.n == 9
-    assert inst.group_size == 3
+    assert inst.objectives.quad.shape == (3, 30, 30)
     # chi = 10 still gives n = 9: the construction rounds down to thirds
     assert hardcase.build_hard_instance(10.0, 16.0, 1.0, 30).n == 9
 
@@ -94,7 +95,7 @@ def test_node_spectra_span_mu_to_L():
 def test_solution_matches_dense_solve():
     inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 50)
     # quad holds one matrix per third: scale by the nodes sharing each
-    total_q = inst.group_size * inst.objectives.quad.sum(axis=0)
+    total_q = inst.n // 3 * inst.objectives.quad.sum(axis=0)
     total_c = inst.objectives.lin.sum(axis=0)
     dense = np.linalg.solve(total_q, -total_c)
     assert np.abs(dense - inst.solution()).max() <= 1e-12
@@ -106,7 +107,7 @@ def test_large_chi_stores_one_curvature_matrix_per_third():
     assert obj.quad.nbytes == 3 * 400 * 400 * 8
     x = np.random.default_rng(0).standard_normal((inst.n, inst.d_trunc))
     grad = obj.grad(x)
-    for third, i in enumerate((0, inst.group_size, 2 * inst.group_size)):
+    for third, i in enumerate((0, inst.n // 3, 2 * inst.n // 3)):
         expected = obj.quad[third] @ x[i] + obj.lin[i]
         assert np.allclose(grad[i], expected, rtol=1e-12, atol=1e-12)
 
@@ -235,7 +236,6 @@ def test_certify_accepts_decentralized_run():
     assert report.passed
     assert len(report.support_ok) == 61
     assert all(report.support_ok) and all(report.distance_ok)
-    assert report.q_total == 60
 
 
 def test_certify_accepts_constant_zero_trace():
@@ -257,9 +257,10 @@ def test_certify_rejects_forged_trace():
 def test_certify_reports_distance_violation_at_lowest_node():
     inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
     x = np.zeros((9, 30))
-    x[1] = inst.solution()  # every coordinate below zero_tol: support 0
+    x[1] = inst.solution()  # every coordinate below ZERO_TOL: support 0
     x[2, 5] = 2.0  # support violation at a later node
-    report = hardcase.certify_run(inst, [x], zero_tol=1.0)
+    with mock.patch.object(hardcase, "ZERO_TOL", 1.0):
+        report = hardcase.certify_run(inst, [x])
     tail = 1.0 - inst.rho**2
     bound = inst.rho**2 / tail - 2.0 * inst.rho ** (2 * 30) / tail
     assert report.support_ok == (False,)
@@ -343,7 +344,6 @@ def _certify_reference(instance, xs, T=1, zero_tol=1e-12):
         support_ok=tuple(support_ok),
         distance_ok=tuple(distance_ok),
         first_violation=first_violation,
-        q_total=tracker.q,
     )
 
 
@@ -390,7 +390,8 @@ def _certify_case(draw):
 def test_certify_run_equals_per_iterate_reference(case):
     inst, xs, T, zero_tol = case
     want = _certify_reference(inst, xs, T=T, zero_tol=zero_tol)
-    assert hardcase.certify_run(inst, xs, T=T, zero_tol=zero_tol) == want
+    with mock.patch.object(hardcase, "ZERO_TOL", zero_tol):
+        assert hardcase.certify_run(inst, xs, T=T) == want
 
 
 def test_certify_case_strategy_reaches_every_outcome():
@@ -437,7 +438,7 @@ def test_certify_rejects_non_finite_entries(bad):
 def test_certify_checks_shape_past_saturation():
     inst, trace = _saturated_zero_trace()
     report = hardcase.certify_run(inst, trace, T=4)
-    assert report.passed and report.q_total == 11 * 4
+    assert report.passed and len(report.support_ok) == 12
     assert report == _certify_reference(inst, trace, T=4)
     trace[11] = np.zeros((9, 5))
     with pytest.raises(ValueError, match=r"trace entry 11 has shape \(9, 5\)"):

@@ -15,10 +15,19 @@ def _features(obj):
     return -obj.labels[..., None] * obj._signed
 
 
+def _logistic(features, labels, reg):
+    """Logistic objectives with the curvature bound that
+    ``gen_synthetic_logistic`` passes as L."""
+    top = max(np.linalg.eigvalsh(a.T @ a)[-1] for a in np.asarray(features))
+    return objectives.LogisticObjectives(
+        features, labels, reg, L=top / (4.0 * labels.shape[1]) + reg
+    )
+
+
 def _node_value(obj, i, x):
     """f_i(x) for one node, straight from the definition: the reference the
     batched ``value`` is checked against."""
-    if obj.kind == "logistic":
+    if isinstance(obj, objectives.LogisticObjectives):
         losses = np.logaddexp(0.0, -obj.labels[i] * (_features(obj)[i] @ x))
         return float(losses.mean() + 0.5 * obj.reg * (x @ x))
     q = obj.quad[i // (obj.n // obj.quad.shape[0])]
@@ -27,7 +36,7 @@ def _node_value(obj, i, x):
 
 def _node_grad(obj, i, x):
     """Gradient of f_i at x for one node: the reference for ``grad``."""
-    if obj.kind == "logistic":
+    if isinstance(obj, objectives.LogisticObjectives):
         a = _features(obj)[i]
         s = expit(-obj.labels[i] * (a @ x))
         return -(a.T @ (obj.labels[i] * s)) / obj.m + obj.reg * x
@@ -36,7 +45,7 @@ def _node_grad(obj, i, x):
 
 def _node_hessian(obj, i, x):
     """Hessian of f_i at x for one node: the reference for ``mean_hessian``."""
-    if obj.kind == "logistic":
+    if isinstance(obj, objectives.LogisticObjectives):
         a = _features(obj)[i]
         t = -obj.labels[i] * (a @ x)
         return (a.T * (expit(t) * expit(-t))) @ a / obj.m + obj.reg * np.eye(obj.d)
@@ -64,7 +73,7 @@ def quadratic():
 
 def test_quadratic_gradient_is_linear_map():
     obj = objectives.QuadraticObjectives(
-        np.array([[[2.0, 0.0], [0.0, 2.0]]]), np.zeros((1, 2))
+        np.array([[[2.0, 0.0], [0.0, 2.0]]]), np.zeros((1, 2)), L=2.0, mu=2.0
     )
     assert np.allclose(obj.grad(np.array([[1.0, 1.0]]))[0], [2.0, 2.0])
 
@@ -182,7 +191,7 @@ def _separable_logistic():
     rng = np.random.default_rng(13)
     features = rng.standard_normal((5, 20, 4))
     labels = np.where(features @ rng.standard_normal(4) >= 0.0, 1.0, -1.0)
-    return objectives.LogisticObjectives(features, labels, 1e-8)
+    return _logistic(features, labels, 1e-8)
 
 
 @pytest.mark.parametrize(
@@ -239,13 +248,13 @@ def test_reference_minimizer_iteration_cap():
 
 def test_objective_validation_errors():
     with pytest.raises(ValueError):
-        objectives.QuadraticObjectives(np.zeros((2, 3, 2)), np.zeros((2, 3)))
+        objectives.QuadraticObjectives(np.zeros((2, 3, 2)), np.zeros((2, 3)), 1.0, 1.0)
     with pytest.raises(ValueError, match="L >= mu > 0"):
         objectives.QuadraticObjectives(
             np.tile(np.eye(2), (2, 1, 1)), np.zeros((2, 2)), L=1.0, mu=0.0
         )
     with pytest.raises(ValueError, match="labels"):
-        objectives.LogisticObjectives(np.zeros((1, 2, 2)), np.zeros((1, 2)), 0.1)
+        objectives.LogisticObjectives(np.zeros((1, 2, 2)), np.zeros((1, 2)), 0.1, 1.0)
     with pytest.raises(ValueError, match="kappa"):
         objectives.gen_synthetic_logistic(2, 3, 2, seed=0, kappa=1.0)
     with pytest.raises(ValueError, match="L > mu > 0"):
@@ -256,7 +265,7 @@ def test_quadratic_rejects_asymmetric_curvature():
     quad = np.tile(np.eye(3), (2, 1, 1))
     quad[1, 0, 2] += 1e-6
     with pytest.raises(ValueError, match=r"symmetric: .*1\.000e-06 at matrix 1"):
-        objectives.QuadraticObjectives(quad, np.zeros((4, 3)))
+        objectives.QuadraticObjectives(quad, np.zeros((4, 3)), L=1.0, mu=1.0)
     # rounding-level asymmetry relative to the entries is accepted
     quad = np.tile(1e6 * np.eye(3), (2, 1, 1))
     quad[1, 0, 2] += 1e-9
@@ -265,9 +274,9 @@ def test_quadratic_rejects_asymmetric_curvature():
 
 def test_quadratic_rejects_group_count_not_dividing_n():
     with pytest.raises(ValueError, match=r"\(3, 2, 2\).*\(4, 2\)"):
-        objectives.QuadraticObjectives(np.tile(np.eye(2), (3, 1, 1)), np.zeros((4, 2)))
+        objectives.QuadraticObjectives(np.tile(np.eye(2), (3, 1, 1)), np.zeros((4, 2)), 1.0, 1.0)
     with pytest.raises(ValueError, match="K=0"):
-        objectives.QuadraticObjectives(np.zeros((0, 2, 2)), np.zeros((4, 2)))
+        objectives.QuadraticObjectives(np.zeros((0, 2, 2)), np.zeros((4, 2)), 1.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -276,19 +285,26 @@ def test_quadratic_rejects_group_count_not_dividing_n():
 def test_quadratic_rejects_offsets_of_the_wrong_shape(shape):
     # offsets of any other shape broadcast into value: n=6 with (3,) summed to 3
     with pytest.raises(ValueError, match=rf"offsets shape {re.escape(str(shape))}.*\(6,\)"):
-        objectives.QuadraticObjectives(np.eye(2)[None], np.zeros((6, 2)), offsets=np.ones(shape))
+        objectives.QuadraticObjectives(
+            np.eye(2)[None], np.zeros((6, 2)), L=1.0, mu=1.0, offsets=np.ones(shape)
+        )
 
 
 @st.composite
-def _grouped_quadratics(draw):
-    n = draw(st.integers(1, 12))
-    groups = draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
-    d = draw(st.integers(1, 6))
+def _grouped_quadratics(draw, max_d=6, shared=False):
+    """Quadratics on n nodes in K groups, K a divisor of n that is below n
+    when ``shared``, and a point."""
+    n = draw(st.integers(2 if shared else 1, 12))
+    top = n - 1 if shared else n
+    groups = draw(st.sampled_from([k for k in range(1, top + 1) if n % k == 0]))
+    d = draw(st.integers(1, max_d))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rng.standard_normal((groups, d, d))
     quad = a @ a.transpose(0, 2, 1) + np.eye(d)
+    eigs = np.linalg.eigvalsh(quad)
     obj = objectives.QuadraticObjectives(
-        quad, rng.standard_normal((n, d)), offsets=rng.standard_normal(n)
+        quad, rng.standard_normal((n, d)), L=eigs.max(), mu=eigs.min(),
+        offsets=rng.standard_normal(n),
     )
     return obj, rng.standard_normal((n, d))
 
@@ -296,7 +312,7 @@ def _grouped_quadratics(draw):
 @settings(max_examples=150)
 @given(_grouped_quadratics())
 @example(  # K = 1: every node shares one matrix
-    (objectives.QuadraticObjectives(np.eye(2)[None] * 3.0, np.ones((6, 2))),
+    (objectives.QuadraticObjectives(np.eye(2)[None] * 3.0, np.ones((6, 2)), 3.0, 3.0),
      np.arange(12.0).reshape(6, 2))
 )
 @example(  # K = n: every node owns its matrix
@@ -335,7 +351,7 @@ def _logistic_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     features = rng.standard_normal((n, m, d))
     labels = np.where(rng.random((n, m)) < 0.5, -1.0, 1.0)
-    obj = objectives.LogisticObjectives(features, labels, draw(st.floats(1e-4, 1.0)))
+    obj = _logistic(features, labels, draw(st.floats(1e-4, 1.0)))
     x = draw(st.sampled_from([0.1, 1.0, 10.0])) * rng.standard_normal((n, d))
     if draw(st.booleans()):
         # scale each node's point until its smallest margin |b a'x| is 801
@@ -347,8 +363,7 @@ def _logistic_cases(draw):
 @settings(max_examples=150)
 @given(_logistic_cases())
 @example(  # margins of -900 and +900 at node 0, -1000 twice at node 1
-    (objectives.LogisticObjectives(
-        np.ones((2, 2, 1)), np.array([[1.0, -1.0], [-1.0, -1.0]]), reg=0.5),
+    (_logistic(np.ones((2, 2, 1)), np.array([[1.0, -1.0], [-1.0, -1.0]]), reg=0.5),
      np.array([[900.0], [-1000.0]]))
 )
 def test_logistic_oracle_matches_per_node_reference(case):
@@ -386,15 +401,21 @@ def test_logistic_oracle_matches_per_node_reference(case):
     assert np.all(np.abs(mean - mean_ref) <= tol)
 
 
-@settings(max_examples=100)
+@settings(max_examples=150)
 @given(
-    case=st.one_of(_logistic_cases(), _grouped_quadratics()),
-    count=st.integers(1, 5),
+    case=st.one_of(
+        _logistic_cases(),
+        _grouped_quadratics(),
+        _grouped_quadratics(max_d=40, shared=True),
+    ),
+    count=st.integers(1, 49),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stacked_value_matches_each_point_bit_for_bit(case, count, seed):
     # The solver's potential evaluates x_f of a block of iterates as a
     # strided view of its (count, 7, n, d) history: one point per iterate.
+    # A quadratic stack takes one curvature matmul over all its points, in
+    # blocks of several nodes when there are fewer groups than nodes.
     obj, x = case
     rng = np.random.default_rng(seed)
     history = x * rng.uniform(0.5, 2.0, (count, 7, 1, 1))
@@ -412,25 +433,33 @@ def test_stacked_value_matches_each_point_bit_for_bit(case, count, seed):
     count=st.integers(1, 64),
     size=st.integers(1, 5000),
     strided=st.booleans(),
-    with_vector=st.booleans(),
+    other=st.sampled_from(["none", "vector", "rows"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(count=64, size=5000, strided=True, with_vector=True, seed=0)
-@example(count=64, size=5000, strided=False, with_vector=False, seed=1)
-def test_row_dots_have_the_bits_of_vdot(count, size, strided, with_vector, seed):
+@example(count=64, size=5000, strided=True, other="vector", seed=0)
+@example(count=64, size=5000, strided=False, other="none", seed=1)
+@example(count=49, size=4000, strided=True, other="rows", seed=2)
+def test_row_dots_have_the_bits_of_vdot(count, size, strided, other, seed):
     # The solver takes a block's dot products, one per iterate, in one
     # _row_dots call, and its records keep the bits of one vdot each. The
     # strided rows are those of lyapunov's flat[4::7], one x_f - x* row per
-    # iterate; each row and the vector get a magnitude from 1e-150 to 1e100.
+    # iterate; each row, the vector and the paired rows get a magnitude from
+    # 1e-150 to 1e100. A stacked quadratic value pairs each point's row
+    # with its curvature row.
     rng = np.random.default_rng(seed)
     base = 10.0 ** rng.uniform(-150, 100, (7 * count + 4, 1))
     base = base * rng.standard_normal((7 * count + 4, size))
     rows = base[4::7] if strided else base[:count]
     assert rows.shape == (count, size)
-    if with_vector:
+    if other == "vector":
         vector = 10.0 ** rng.uniform(-150, 100) * rng.standard_normal(size)
         got = objectives._row_dots(rows, vector)
         want = [np.vdot(vector, row) for row in rows]
+    elif other == "rows":
+        paired = 10.0 ** rng.uniform(-150, 100, (count, 1))
+        paired = paired * rng.standard_normal((count, size))
+        got = objectives._row_dots(rows, paired)
+        want = [np.vdot(row, pair) for row, pair in zip(rows, paired)]
     else:
         got = objectives._row_dots(rows)
         want = [np.vdot(row, row) for row in rows]
@@ -460,7 +489,7 @@ def test_mean_hessian_matches_per_node_reference(case):
     x0 = x[0]
     hess = obj.mean_hessian(x0)
     reference = np.mean([_node_hessian(obj, i, x0) for i in range(obj.n)], axis=0)
-    if obj.kind == "quadratic":
+    if isinstance(obj, objectives.QuadraticObjectives):
         scale = np.abs(obj.quad).mean(axis=0)
     else:
         # each term s (1 - s) a a' is positive, and rounding a margin moves

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -30,14 +31,19 @@ def _referenced_names(path):
     """Identifiers a file uses: names, attributes, imported names, and string
     constants that are a bare identifier (``setattr(module, "name", ...)``).
 
-    Definitions (``def name``, ``class name``) and the ``__all__`` list are
-    not uses, so a name counts only where something else reaches it.
+    Definitions (``def name``, ``class name``, a dataclass field's
+    ``name: type``), keyword arguments (``Report(name=...)``) and the
+    ``__all__`` list are not uses, so a name counts only where something
+    else reaches it.
     """
     found = set()
     stack = [ast.parse(path.read_text(), filename=str(path))]
     while stack:
         node = stack.pop()
         if _is_all_assignment(node):
+            continue
+        if isinstance(node, ast.AnnAssign):
+            stack.extend(filter(None, (node.annotation, node.value)))
             continue
         if isinstance(node, ast.Name):
             found.add(node.id)
@@ -55,19 +61,31 @@ def _referenced_names(path):
 def _exported(name):
     """Dotted names module ``name`` exports: each entry of its ``__all__``
     and, for an exported class, each public method or property the class
-    itself defines."""
+    itself defines and each of its dataclass fields."""
     module = importlib.import_module(f"gossipopt.{name}")
     for exported in getattr(module, "__all__", ()):
         yield f"{name}.{exported}"
         value = getattr(module, exported)
         if not inspect.isclass(value):
             continue
+        if dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                yield f"{name}.{exported}.{f.name}"
         for member, attr in vars(value).items():
             if not member.startswith("_") and (
                 inspect.isfunction(attr)
                 or isinstance(attr, (property, functools.cached_property))
             ):
                 yield f"{name}.{exported}.{member}"
+
+
+# Fields that no program reads yet, kept for the ROADMAP items that read
+# them: the event sink of item 3 records the Lyapunov components, and
+# item 8 prints the measured contraction ratio of the compound operator.
+UNREAD_FIELDS_KEPT = {
+    "solver.LyapunovReport.components",  # ROADMAP item 3
+    "topology.ValidationReport.spectral_worst_ratio",  # ROADMAP item 8
+}
 
 
 def test_every_exported_name_has_a_caller():
@@ -81,7 +99,7 @@ def test_every_exported_name_has_a_caller():
         dotted
         for name in MODULES
         for dotted in _exported(name)
-        if dotted.rsplit(".", 1)[1] not in used
+        if dotted.rsplit(".", 1)[1] not in used and dotted not in UNREAD_FIELDS_KEPT
     ]
     assert not unused, f"exported but never used outside a unit test: {unused}"
 

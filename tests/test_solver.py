@@ -116,6 +116,16 @@ def test_param_override():
         p.override(gamma=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_override_is_rejected(value):
+    with pytest.raises(ValueError, match=f"^override gamma={value} must be finite$"):
+        solver.check_overrides({"gamma": value})
+    with pytest.raises(ValueError, match=f"^override nu={value} must be finite$"):
+        solver.check_overrides({"nu": value}, mu=math.inf)
+    with pytest.raises(ValueError, match="must be finite"):
+        solver.derive_params(4.0, 1.0, 2.0).override(delta=value)
+
+
 @pytest.mark.parametrize("name", ["tau1", "sigma1"])
 @pytest.mark.parametrize("value", [1.0, 3.0, 0.0])
 def test_param_override_keeps_interpolation_weights_in_unit_interval(name, value):

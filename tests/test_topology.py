@@ -241,6 +241,12 @@ def _mixing_of(pool, n):
     return topology.build_mixing(topology.TopologySchedule(n=n, kind="custom", pool=pool))
 
 
+def _position_chi(edges, n):
+    """Laplacian condition number of one connected edge set."""
+    evals = np.linalg.eigvalsh(topology.laplacian(edges, n))
+    return evals[-1] / evals[1]
+
+
 def test_path2_gossip_matrix_frozen():
     # Laplacian [[1,-1],[-1,1]] has lambda_max = 2
     w = _mixing_of((((0, 1),),), 2).w(0)
@@ -296,8 +302,8 @@ def test_estimate_chi_takes_max_over_rounds():
     star3 = topology.star_edges(3, 0)
     mixing = _mixing_of((k3, star3), 3)
     assert abs(mixing.chi - 3.0) < 1e-9
-    assert abs(mixing.per_round[0] - 1.0) <= 1e-12
-    assert abs(mixing.per_round[1] - 3.0) < 1e-9
+    assert abs(_position_chi(k3, 3) - 1.0) <= 1e-12
+    assert mixing.chi == max(_position_chi(k3, 3), _position_chi(star3, 3))
 
 
 def test_contraction_holds_with_measured_chi():
@@ -382,9 +388,11 @@ def test_gossip_csv_full_precision(tmp_path):
 
 def test_ring_star_chi_near_thousand_for_n100():
     # the ring dominates: lambda_max ~ 4, lambda_min_plus ~ (2 pi / n)^2
-    mixing = topology.build_mixing(topology.ring_star_schedule(100))
+    sched = topology.ring_star_schedule(100)
+    mixing = topology.build_mixing(sched)
     assert 900 < mixing.chi < 1100
-    assert abs(mixing.per_round[1] - 100.0) < 1e-6
+    assert abs(_position_chi(sched.edges(1), 100) - 100.0) < 1e-6
+    assert mixing.chi == _position_chi(sched.edges(0), 100)
 
 
 @st.composite
@@ -404,14 +412,14 @@ def _connected_pools(draw):
 @given(_connected_pools())
 def test_build_mixing_matches_per_graph_spectra(sched):
     mixing = topology.build_mixing(sched)
+    chis = []
     for q in range(sched.cycle):
         lap = topology.laplacian(sched.edges(q), sched.n)
         evals = np.linalg.eigvalsh(lap)
         assert np.array_equal(mixing.w(q), lap / evals[-1])
         lam_min_plus = evals[evals > topology.EIGENVALUE_FLOOR * evals[-1]][0]
-        assert mixing.per_round[q] == max(evals[-1] / lam_min_plus, 1.0)
-    assert len(mixing.per_round) == sched.cycle
-    assert mixing.chi == max(mixing.per_round)
+        chis.append(evals[-1] / lam_min_plus)
+    assert mixing.chi == max(chis)
 
 
 _PATH5 = ((0, 1), (1, 2), (2, 3), (3, 4))
