@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter
@@ -19,6 +18,7 @@ from pathlib import Path
 
 from . import hardcase, solver, topology
 from .objectives import gen_random_quadratic, gen_synthetic_logistic
+from .topology import _is_number
 
 __all__ = [
     "ExperimentConfig",
@@ -52,46 +52,13 @@ _SECTIONS = {
 }
 
 
-# Keys each problem kind takes besides "kind".
+# The number type of each key that a problem kind takes besides "kind"; the
+# keys are the generator's keyword arguments.
 _PROBLEM_KEYS = {
-    "synthetic_logistic": {"n", "m", "d", "seed", "kappa"},
-    "random_quadratic": {"n", "d", "L", "mu", "seed"},
-    "hard_instance": {"chi", "L", "mu", "d_trunc"},
+    "synthetic_logistic": {"n": int, "m": int, "d": int, "seed": int, "kappa": float},
+    "random_quadratic": {"n": int, "d": int, "L": float, "mu": float, "seed": int},
+    "hard_instance": {"chi": float, "L": float, "mu": float, "d_trunc": int},
 }
-
-# Problem and topology keys that count nodes, samples, dimensions or draws.
-_INTEGER_KEYS = {"n", "m", "d", "seed", "pool_size", "d_trunc"}
-
-
-def _is_number(value, kind=numbers.Real):
-    """A finite number of the kind, not a bool. JSON documents may spell
-    NaN and Infinity, which no config value takes; an integer, of any size,
-    is finite."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        return False
-    return isinstance(value, numbers.Integral) or math.isfinite(value)
-
-
-def _check_numbers(name, section):
-    """Reject a section that is not an object of finite numbers besides its
-    kind.
-
-    A seed must also be >= 0; numpy would reject it only once the run builds
-    the problem or the pool.
-    """
-    if not isinstance(section, dict):
-        raise ValueError(
-            f"config section {name!r} must be a JSON object, got {section!r}"
-        )
-    for key, value in section.items():
-        if key == "kind":
-            continue
-        integer = key in _INTEGER_KEYS
-        if not _is_number(value, numbers.Integral if integer else numbers.Real):
-            what = "an integer" if integer else "a finite number"
-            raise ValueError(f"{name} key {key!r} must be {what}, got {value!r}")
-        if key == "seed" and value < 0:
-            raise ValueError(f"{name} key 'seed' must be >= 0, got {value!r}")
 
 
 @dataclass
@@ -112,10 +79,7 @@ class ExperimentConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
-        _check_numbers("problem", self.problem)
-        _check_numbers("param_overrides", self.param_overrides)
-        if self.topology is not None:
-            _check_numbers("topology", self.topology)
+        topology.check_section("param_overrides", self.param_overrides)
         if self.budget is None and self.target_eps is None:
             raise ValueError("config needs a budget, a target_eps, or both")
         # Each check names the key as the config document spells it. A
@@ -124,8 +88,7 @@ class ExperimentConfig:
         for key, value, ok, what in (
             ("T", T, T == "auto" or _is_number(T, int) and T >= 1,
              "a positive integer or 'auto'"),
-            ("budget", budget,
-             budget is None or _is_number(budget, numbers.Integral) and budget >= 0,
+            ("budget", budget, budget is None or _is_number(budget, int) and budget >= 0,
              "an integer >= 0"),
             ("target_eps", eps, eps is None or _is_number(eps) and eps > 0,
              "a finite number > 0"),
@@ -144,7 +107,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.stop_metric not in solver.STOP_METRICS:
             raise ValueError(f"unknown stop metric {self.stop_metric!r}")
-        if self.certify and self.problem.get("kind") != "hard_instance":
+        topology.check_section("problem", self.problem, _PROBLEM_KEYS)
+        if self.certify and self.problem["kind"] != "hard_instance":
             raise ValueError("certification requires a hard_instance problem")
         if self.certify and self.topology is not None:
             raise ValueError(
@@ -152,23 +116,10 @@ class ExperimentConfig:
                 "drop the topology section"
             )
         solver.check_overrides(self.param_overrides)
-        if "kind" not in self.problem:
-            raise ValueError("problem section needs a 'kind'")
-        kind = self.problem["kind"]
-        if kind not in _PROBLEM_KEYS:
-            raise ValueError(f"unknown problem kind {kind!r}")
-        given, keys = set(self.problem) - {"kind"}, _PROBLEM_KEYS[kind]
-        for word, names in (("unknown", given - keys), ("missing", keys - given)):
-            if names:
-                names = ", ".join(sorted(names))
-                raise ValueError(f"{word} key for a {kind} problem: {names}")
-        if self.topology is None:
-            if kind != "hard_instance":
-                raise ValueError("config needs a topology section for this problem kind")
-        else:
-            missing = sorted({"kind", "n"} - set(self.topology))
-            if missing:
-                raise ValueError(f"topology section needs {' and '.join(missing)}")
+        if self.topology is not None:
+            topology.check_section("topology", self.topology, topology.TOPOLOGY_KEYS)
+        elif self.problem["kind"] != "hard_instance":
+            raise ValueError("config needs a topology section for this problem kind")
 
     @classmethod
     def from_dict(cls, obj):
@@ -372,25 +323,13 @@ def run_experiment(config, output_dir=None, *, mixing_memo=None):
     )
 
 
-_SWEEP_AXES = ("kappa", "chi", "T")
-
-
 def _config_with(config, axis, value):
-    problem = dict(config.problem)
-    T = config.T
-    if axis == "kappa":
-        if problem.get("kind") != "synthetic_logistic":
-            raise ValueError("kappa sweeps need a synthetic_logistic problem")
-        problem["kappa"] = value
-    elif axis == "chi":
-        if problem.get("kind") != "hard_instance":
-            raise ValueError("chi sweeps need a hard_instance problem")
-        problem["chi"] = value
-    elif axis == "T":
+    """The config with ``value`` at the sweep axis, T or a problem key."""
+    problem, T = config.problem, config.T
+    if axis == "T":
         T = value
     else:
-        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
-
+        problem = {**problem, axis: value}
     output_path = config.output_path
     if output_path is not None:
         p = Path(output_path)
@@ -400,6 +339,9 @@ def _config_with(config, axis, value):
 
 def sweep(base_config, axis, values, output_dir=None):
     """One run per value along the axis; failures mark their row only.
+
+    The axis is ``T`` or a key of the base config's problem kind, checked
+    before the first row.
 
     A row's status is ``ok``, ``diverged`` when its run raised
     :class:`solver.DivergenceError`, or ``error`` for any other failure;
@@ -413,6 +355,11 @@ def sweep(base_config, axis, values, output_dir=None):
     """
     if not values:
         raise ValueError("sweep needs at least one value")
+    kind = base_config.problem["kind"]
+    if axis != "T" and axis not in _PROBLEM_KEYS[kind]:
+        raise ValueError(
+            f"sweep axis {axis!r} is neither T nor a key of a {kind} problem"
+        )
     rows = []
     mixing_memo = {}
     for value in values:

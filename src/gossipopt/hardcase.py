@@ -51,8 +51,8 @@ __all__ = [
 
 def hard_rho(L, mu):
     """Geometric decay rate of the worst-case solution; in [0, 1)."""
-    if not L > mu > 0:
-        raise ValueError(f"need L > mu > 0, got L={L}, mu={mu}")
+    if not math.inf > L > mu > 0:
+        raise ValueError(f"need L > mu > 0 and L finite, got L={L}, mu={mu}")
     root = math.sqrt(2.0 * L / (3.0 * mu) + 1.0 / 3.0)
     return (root - 1.0) / (root + 1.0)
 

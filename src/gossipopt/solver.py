@@ -192,20 +192,25 @@ def check_overrides(values, mu=None):
             raise ValueError(f"override nu={value} must be below mu={mu}")
 
 
+def _check_chi(chi):
+    if not 1 <= chi < math.inf:
+        raise ValueError(f"need 1 <= chi < inf, got chi={chi}")
+
+
 def derive_params(L, mu, chi):
     """Theoretical parameter schedule for constants (L, mu, chi).
 
     Parameters
     ----------
     L, mu : float
-        Smoothness and strong convexity of the local objectives, L > mu > 0.
+        Smoothness and strong convexity of the local objectives, finite
+        L > mu > 0.
     chi : float
-        Condition number of the (possibly compound) mixing operator, >= 1.
+        Condition number of the (possibly compound) mixing operator, finite, >= 1.
     """
-    if not L > mu > 0:
-        raise ValueError(f"need L > mu > 0, got L={L}, mu={mu}")
-    if chi < 1:
-        raise ValueError(f"need chi >= 1, got {chi}")
+    if not math.inf > L > mu > 0:
+        raise ValueError(f"need L > mu > 0 and L finite, got L={L}, mu={mu}")
+    _check_chi(chi)
     tau2 = math.sqrt(mu / L)
     tau1 = 1.0 / (1.0 / tau2 + 0.5)
     eta = 1.0 / (L * tau2)
@@ -242,8 +247,7 @@ def effective_chi(chi, T):
     T = ceil(chi ln 2) choice), the compound operator behaves like a network
     with constant condition number 2.
     """
-    if chi < 1:
-        raise ValueError(f"need chi >= 1, got {chi}")
+    _check_chi(chi)
     if T < 1:
         raise ValueError(f"need T >= 1, got {T}")
     if T == 1:
@@ -256,7 +260,8 @@ def effective_chi(chi, T):
 
 def consensus_rounds(chi):
     """Number of sub-rounds T = ceil(chi ln 2) that halves disagreement."""
-    return max(1, math.ceil(chi * math.log(2.0)))
+    _check_chi(chi)
+    return math.ceil(chi * math.log(2.0))
 
 
 class _Row:

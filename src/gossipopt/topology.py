@@ -22,6 +22,7 @@ fast repeated gossip rounds contract disagreement between nodes.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -39,6 +40,7 @@ __all__ = [
     "ring_star_schedule",
     "star_cycle_schedule",
     "random_geometric_schedule",
+    "check_section",
     "make_schedule",
     "star_cycle_center",
     "laplacian",
@@ -325,31 +327,76 @@ def random_geometric_schedule(n, radius, pool_size, seed):
     return TopologySchedule(n=n, kind="random_geometric", pool=pool)
 
 
-# Builder of each schedule kind and the parameters it takes besides n.
+# Builder of each schedule kind, and the number type of each key its
+# topology section takes besides "kind".
 _SCHEDULE_BUILDERS = {
-    "ring_star": (ring_star_schedule, ()),
-    "star_cycle": (star_cycle_schedule, ()),
-    "random_geometric": (random_geometric_schedule, ("radius", "pool_size", "seed")),
+    "ring_star": (ring_star_schedule, {"n": int}),
+    "star_cycle": (star_cycle_schedule, {"n": int}),
+    "random_geometric": (
+        random_geometric_schedule,
+        {"n": int, "radius": float, "pool_size": int, "seed": int},
+    ),
 }
+TOPOLOGY_KEYS = {kind: keys for kind, (_, keys) in _SCHEDULE_BUILDERS.items()}
+
+
+def _is_number(value, kind=float):
+    """A number, not a bool: an integer of any size, or a finite real when
+    ``kind`` is float. JSON may spell NaN and Infinity, which no config
+    value takes."""
+    if isinstance(value, numbers.Integral):
+        return not isinstance(value, bool)
+    return kind is float and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def check_section(name, section, kinds=None):
+    """Reject a config section unless it is a JSON object holding its kind
+    and exactly that kind's keys, each a number of the key's type.
+
+    ``kinds`` maps each kind name to its key table, which gives every key
+    the kind takes besides ``"kind"`` its number type, ``int`` or ``float``
+    (``TOPOLOGY_KEYS`` for a topology). Without ``kinds`` the section has
+    no kind and every key takes a float. A float is finite, neither type is
+    a bool, and a ``seed`` is also >= 0, which numpy would check only once
+    the run draws from it. Each error names the section and the kind or key.
+    """
+    if not isinstance(section, dict):
+        raise ValueError(
+            f"config section {name!r} must be a JSON object, got {section!r}"
+        )
+    if kinds is None:
+        types = dict.fromkeys(section, float)
+    else:
+        if "kind" not in section:
+            raise ValueError(f"{name} section needs a 'kind'")
+        kind = section["kind"]
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ValueError(
+                f"unknown {name} kind {kind!r}; expected one of {sorted(kinds)}"
+            )
+        given, types = section.keys() - {"kind"}, kinds[kind]
+        for word, names in (("unknown", given - types.keys()),
+                            ("missing", types.keys() - given)):
+            if names:
+                names = ", ".join(sorted(names))
+                raise ValueError(f"{word} key for a {kind} {name}: {names}")
+    for key, number in types.items():
+        value = section[key]
+        if not _is_number(value, number):
+            what = "an integer" if number is int else "a finite number"
+            raise ValueError(f"{name} key {key!r} must be {what}, got {value!r}")
+        if key == "seed" and value < 0:
+            raise ValueError(f"{name} key 'seed' must be >= 0, got {value!r}")
 
 
 def make_schedule(kind, n, **params):
     """Build a schedule by kind name; see the individual constructors.
 
-    Every parameter the kind takes is required; any other is an error.
+    The arguments, as a topology section, must pass :func:`check_section`,
+    the check every config's topology section passes when it is loaded.
     """
-    try:
-        builder, keys = _SCHEDULE_BUILDERS[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown schedule kind {kind!r}; expected one of "
-            f"{sorted(_SCHEDULE_BUILDERS)}"
-        ) from None
-    given, keys = set(params), set(keys)
-    for word, names in (("unknown", given - keys), ("missing", keys - given)):
-        if names:
-            names = ", ".join(sorted(names))
-            raise ValueError(f"{word} key for a {kind} topology: {names}")
+    check_section("topology", {"kind": kind, "n": n, **params}, TOPOLOGY_KEYS)
+    builder, _ = _SCHEDULE_BUILDERS[kind]
     return builder(n, **params)
 
 

@@ -454,9 +454,10 @@ _RING_STAR = {"kind": "ring_star", "n": 4}
         ({"problem": _QUADRATIC,
           "topology": {"kind": "random_geometric", "n": 4, "radius": 0.5}},
          "missing key for a random_geometric topology: pool_size, seed"),
-        ({"problem": _QUADRATIC, "topology": {"n": 4}}, "topology section needs kind"),
+        ({"problem": _QUADRATIC, "topology": {"n": 4}},
+         "topology section needs a 'kind'"),
         ({"problem": _QUADRATIC, "topology": {"kind": "ring_star"}},
-         "topology section needs n"),
+         "missing key for a ring_star topology: n"),
     ],
     ids=["problem", "kind", "seed", "pool_size_seed", "topology_kind", "topology_n"],
 )
@@ -575,8 +576,13 @@ def test_sweep_axis_validation():
     cfg = _hard_config()
     with pytest.raises(ValueError, match="at least one value"):
         experiments.sweep(cfg, "chi", [])
-    rows = experiments.sweep(cfg, "kappa", [10.0])
-    assert rows[0]["status"] == "error"  # kappa sweeps need a logistic problem
+    # kappa is a key of synthetic_logistic problems only; the axis fails
+    # before any row is run
+    with pytest.raises(ValueError, match="^sweep axis 'kappa' is neither T nor a "
+                       "key of a hard_instance problem$"):
+        experiments.sweep(cfg, "kappa", [10.0])
+    with pytest.raises(ValueError, match="^sweep axis 'kind'"):
+        experiments.sweep(cfg, "kind", [10.0])
 
 
 def _logistic_rgg_config(**overrides):
@@ -684,6 +690,25 @@ def test_cli_params_prints_schedule(capsys):
     assert "tau2 = 0.5" in out
     assert "sigma2 = 0.03125" in out
     assert "theta = 4.0" in out
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--chi", "nan"], "need 1 <= chi < inf, got chi=nan"),
+        (["--chi", "inf"], "need 1 <= chi < inf, got chi=inf"),
+        (["--L", "inf", "--chi", "9"], "need L > mu > 0 and L finite, got L=inf, mu=1.0"),
+        (["--chi", "inf", "--T", "auto"], "need 1 <= chi < inf, got chi=inf"),
+    ],
+    ids=["chi_nan", "chi_inf", "L_inf", "auto_T_chi_inf"],
+)
+def test_cli_params_rejects_a_non_finite_value(capsys, args, named):
+    # Unchecked, chi = nan printed a schedule of NaNs and exited 0, chi = inf
+    # and L = inf divided by zero, and T = auto at chi = inf overflowed.
+    assert cli.main(["params", "--L", "4", "--mu", "1", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
 
 
 def test_cli_params_auto_T(capsys):
@@ -952,6 +977,43 @@ def test_cli_sweep_with_a_missing_problem_key_fails_before_any_row(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: missing key for a random_quadratic problem: seed\n"
+
+
+_LOGISTIC = {"kind": "synthetic_logistic", "n": 4, "m": 5, "d": 3, "seed": 0,
+             "kappa": 10.0}
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"problem": _LOGISTIC, "topology": {**_RING_STAR, "radius": 0.3}},
+         "unknown key for a ring_star topology: radius"),
+        ({"problem": _QUADRATIC, "topology": _RING_STAR},
+         "sweep axis 'kappa' is neither T nor a key of a random_quadratic problem"),
+    ],
+    ids=["topology_radius", "quadratic_kappa"],
+)
+def test_cli_kappa_sweep_with_a_bad_section_fails_before_any_row(
+    tmp_path, capsys, monkeypatch, config, named
+):
+    monkeypatch.setattr(experiments, "build_problem", _unreachable("build_problem"))
+    path = _write_config(tmp_path, {**config, "stop": {"budget": 5}})
+    assert cli.main(["sweep", path, "--axis", "kappa", "--values", "10,100,1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("section", ["problem", "topology"])
+def test_non_string_kind_is_named_at_load(tmp_path, capsys, monkeypatch, section):
+    monkeypatch.setattr(experiments, "build_problem", _unreachable("build_problem"))
+    config = {"problem": _QUADRATIC, "topology": _RING_STAR, "stop": {"budget": 1}}
+    kind = config[section]["kind"]
+    config[section] = {**config[section], "kind": [kind]}
+    assert cli.main(["run", _write_config(tmp_path, config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown {section} kind ['{kind}']; ")
 
 
 def _failing_certificate(monkeypatch):

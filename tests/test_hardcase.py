@@ -18,6 +18,13 @@ def test_rho_closed_form_frozen():
         hardcase.hard_rho(1.0, 1.0)
 
 
+@pytest.mark.parametrize("L, mu", [(math.inf, 1.0), (math.nan, 1.0), (4.0, math.nan)])
+def test_rho_rejects_a_non_finite_constant(L, mu):
+    # unchecked, L = inf gave rho = nan
+    with pytest.raises(ValueError, match="^need L > mu > 0 and L finite, got L="):
+        hardcase.hard_rho(L, mu)
+
+
 def test_build_partitions_and_centers():
     inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
     assert inst.n == 9

@@ -104,6 +104,17 @@ def test_every_exported_name_has_a_caller():
     assert not unused, f"exported but never used outside a unit test: {unused}"
 
 
+def test_package_has_no_assert_statement():
+    # python -O strips assert statements, so an invariant must raise instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "gossipopt").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in src/gossipopt: {found}"
+
+
 # The package modules each module imports. experiments sits on top of these
 # five and cli on top of experiments; neither is imported from below.
 IMPORT_GRAPH = {

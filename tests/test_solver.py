@@ -301,6 +301,52 @@ def test_lyapunov_decreases_at_theoretical_rate(small_run):
         assert psis[k + 1] <= psis[k] * rate + 1e-12 * psis[0]
 
 
+@st.composite
+def _contraction_cases(draw):
+    """A random problem of either kind on one of the three topology kinds,
+    T = 1 or T = consensus_rounds(chi), and a zero start or a random one
+    whose z, m and z_f rows are zero-sum."""
+    n = draw(st.sampled_from([3, 6, 9]))
+    d = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        L = draw(st.floats(2.0, 1000.0))
+        obj = objectives.gen_random_quadratic(n, d, L=L, mu=1.0, seed=seed)
+    else:
+        kappa = draw(st.floats(2.0, 1000.0))
+        obj = objectives.gen_synthetic_logistic(n, draw(st.integers(1, 6)), d, seed, kappa)
+    kind = draw(st.sampled_from(sorted(topology.TOPOLOGY_KEYS)))
+    keys = {}
+    if kind == "random_geometric":
+        keys = {"radius": draw(st.floats(0.2, 1.0)),
+                "pool_size": draw(st.integers(1, 4)), "seed": seed}
+    mixing = topology.build_mixing(topology.make_schedule(kind, n, **keys))
+    T = draw(st.sampled_from([1, solver.consensus_rounds(mixing.chi)]))
+    buf = np.zeros((7, n, d))
+    if draw(st.booleans()):
+        buf[:] = np.random.default_rng(seed).standard_normal(buf.shape)
+        for row in (2, 3, 6):  # z, m and z_f
+            buf[row] = blockvec.project_consensus(buf[row])
+    return obj, mixing, T, solver.State(0, buf)
+
+
+@settings(max_examples=96, deadline=None)
+@given(_contraction_cases())
+def test_potential_contracts_at_the_certified_rate(case):
+    # Every step multiplies the potential by at most 1 - sigma2 / 2, the
+    # certificate's rate, while it is above its float floor.
+    obj, mixing, T, state = case
+    params = solver.derive_params(obj.L, obj.mu, solver.effective_chi(mixing.chi, T))
+    ref = solver.make_reference(obj, params.nu)
+    bound = (1.0 - params.sigma2 / 2.0) * (1.0 + 1e-9)
+    psi0 = psi = solver.lyapunov(state, params, obj, ref).total
+    while state.k < 200 and psi > 1e-10 * psi0:
+        state = solver.step(state, params, obj, mixing, T)
+        after = solver.lyapunov(state, params, obj, ref).total
+        assert after <= bound * psi, (state.k, after / psi / bound)
+        psi = after
+
+
 def test_convergence_envelope(small_run):
     obj, mixing, params, _, result = small_run
     rate = 1 - math.sqrt(obj.mu) / (32 * mixing.chi * math.sqrt(obj.L))
