@@ -104,11 +104,11 @@ def build_hard_instance(chi, L, mu, d_trunc):
     Parameters
     ----------
     chi : float
-        Target network condition number, >= 3. The node count is
+        Target network condition number, finite, >= 3. The node count is
         3 floor(chi / 3), so every round's star has Laplacian condition
         number n <= chi.
     L, mu : float
-        Smoothness and strong convexity, L > mu > 0.
+        Smoothness and strong convexity, finite L > mu > 0.
     d_trunc : int
         Truncation dimension, >= 4. Runs take x* from the truncated
         objective; the certificate subtracts the closed form's truncation slack.
@@ -118,10 +118,9 @@ def build_hard_instance(chi, L, mu, d_trunc):
     stores 3.84 MB of curvature, not 384 MB. The linear terms and offsets
     stay per node.
     """
-    if chi < 3:
-        raise ValueError(f"need chi >= 3, got {chi}")
-    if not L > mu > 0:
-        raise ValueError(f"need L > mu > 0, got L={L}, mu={mu}")
+    if not math.inf > chi >= 3:
+        raise ValueError(f"need chi >= 3 and chi finite, got chi={chi}")
+    rho = hard_rho(L, mu)
     if d_trunc < 4:
         raise ValueError(f"need d_trunc >= 4, got {d_trunc}")
     n = 3 * int(chi // 3)
@@ -148,7 +147,7 @@ def build_hard_instance(chi, L, mu, d_trunc):
         L=float(L),
         mu=float(mu),
         d_trunc=d_trunc,
-        rho=hard_rho(L, mu),
+        rho=rho,
         objectives=objectives,
         schedule=star_cycle_schedule(n),
     )
@@ -371,8 +370,8 @@ def lower_bound_curve(chi, L, mu, q_max):
     max(0, 1 - 24 sqrt(6 mu / L)), clamping at zero. Exact dominates relaxed
     pointwise.
     """
-    if chi < 3:
-        raise ValueError(f"need chi >= 3, got {chi}")
+    if not math.inf > chi >= 3:
+        raise ValueError(f"need chi >= 3 and chi finite, got chi={chi}")
     if q_max < 0:
         raise ValueError(f"need q_max >= 0, got {q_max}")
     rho = hard_rho(L, mu)

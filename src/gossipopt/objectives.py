@@ -236,8 +236,8 @@ def gen_synthetic_logistic(n, m, d, seed, kappa):
     """
     if min(n, m, d) < 1:
         raise ValueError("n, m, d must all be >= 1")
-    if kappa <= 1:
-        raise ValueError(f"kappa must exceed 1, got {kappa}")
+    if not np.inf > kappa > 1:
+        raise ValueError(f"kappa must be finite and exceed 1, got {kappa}")
     rng = np.random.default_rng(seed)
     planted = rng.standard_normal(d)
     planted /= np.linalg.norm(planted)
@@ -252,8 +252,8 @@ def gen_synthetic_logistic(n, m, d, seed, kappa):
 
 def gen_random_quadratic(n, d, L, mu, seed):
     """Random quadratics whose node spectra exactly span [mu, L]."""
-    if not L > mu > 0:
-        raise ValueError(f"need L > mu > 0, got L={L}, mu={mu}")
+    if not np.inf > L > mu > 0:
+        raise ValueError(f"need L > mu > 0 and L finite, got L={L}, mu={mu}")
     if d < 2:
         raise ValueError(f"need d >= 2 to pin both spectrum endpoints, got {d}")
     # The draws go node by node, as the stream order fixes. The algebra runs

@@ -25,7 +25,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -61,50 +60,45 @@ _PCG_MULT = [
 
 
 def _pairs(edges, n):
-    """Edge list as an (m, 2) integer array; every endpoint must be in [0, n).
+    """Edge list as an (m, 2) int64 array; every endpoint must be in [0, n).
 
-    An array must have shape (m, 2); any other edge list is read as a
-    sequence of pairs. Either way an edge that is not a pair is an error.
+    Any edge list is read with one ``np.asarray``; an empty one has no
+    edges. An edge that is not a pair, or endpoints whose type is not an
+    integer type (a float, a string or a bool), is an error.
     """
-    if isinstance(edges, np.ndarray):
-        pairs = edges.astype(np.int64, copy=False)
-        if pairs.size == 0:
-            pairs = pairs.reshape(0, 2)
-    else:
-        edges = tuple(edges)
-        if set(map(len, edges)) - {2}:
-            raise ValueError("every edge must be a pair of nodes")
-        flat = chain.from_iterable(edges)
-        pairs = np.fromiter(flat, np.int64, count=2 * len(edges)).reshape(-1, 2)
+    try:
+        pairs = np.asarray(edges)
+    except ValueError:  # a ragged list: pairs mixed with other lengths
+        raise ValueError("every edge must be a pair of nodes") from None
+    if pairs.size == 0:
+        return np.empty((0, 2), np.int64)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("every edge must be a pair of nodes")
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+    if not np.issubdtype(pairs.dtype, np.integer):
+        raise ValueError(f"edge endpoints must be integers, got {pairs.dtype}")
+    pairs = pairs.astype(np.int64, copy=False)
+    if pairs.min() < 0 or pairs.max() >= n:
         raise ValueError(f"edge endpoint out of range for n={n}")
     return pairs
 
 
 def _canonical(edges, n):
-    """Sorted tuple of (i, j) pairs with i < j and duplicates removed.
-
-    Each pair is keyed as ``i * n + j`` once its ends are ordered, so one
-    sort orders the pairs and a neighbour comparison drops the repeats
-    (``np.unique`` does the same in several times the time); the pairs come
-    back as Python ints.
-    """
+    """Read-only C-contiguous int64 (m, 2) array of the pairs, each ordered
+    i < j, sorted by ``i * n + j`` and with duplicates removed."""
     pairs = _pairs(edges, n)
     i, j = pairs[:, 0], pairs[:, 1]
-    keys = np.sort(np.minimum(i, j) * n + np.maximum(i, j))
-    keep = np.ones(keys.size, dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    keys = keys[keep]
-    return tuple(zip((keys // n).tolist(), (keys % n).tolist()))
+    keys = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    pairs = np.column_stack(np.divmod(keys, n))
+    pairs.setflags(write=False)
+    return pairs
 
 
 def ring_edges(n):
     """Edge set of the ring on n nodes: (i, i+1 mod n)."""
     if n < 2:
         raise ValueError(f"ring needs n >= 2, got {n}")
-    return _canonical([(i, (i + 1) % n) for i in range(n)], n)
+    i = np.arange(n)
+    return _canonical(np.column_stack([i, (i + 1) % n]), n)
 
 
 def star_edges(n, center=0):
@@ -113,7 +107,8 @@ def star_edges(n, center=0):
         raise ValueError(f"star needs n >= 2, got {n}")
     if not 0 <= center < n:
         raise ValueError(f"center {center} out of range for n={n}")
-    return _canonical([(center, j) for j in range(n) if j != center], n)
+    others = np.delete(np.arange(n), center)
+    return _canonical(np.column_stack([np.full(n - 1, center), others]), n)
 
 
 def _words(value):
@@ -238,7 +233,6 @@ def _random_geometric_pool(n, radius, seed, indices):
         x, y = coords.T
         dx, dy = x[:, None] - x, y[:, None] - y
         adjacent = np.sqrt(dx * dx + dy * dy) < radius
-        rows, cols = np.nonzero(np.triu(adjacent, 1))
 
         # Min-label fixed point: each pass gives a node the least label among
         # itself and its neighbours, then that label's own label.
@@ -248,9 +242,12 @@ def _random_geometric_pool(n, radius, seed, indices):
             lower = np.where(adjacent, label, n).min(axis=1)
             lower = lower[lower]
         minima = np.flatnonzero(label == np.arange(n))[1:]
-        rows = np.concatenate([rows, minima - 1])
-        cols = np.concatenate([cols, minima])
-        pool.append(_canonical(np.column_stack([rows, cols]), n))
+        adjacent[minima - 1, minima] = True
+        # Read off in row-major order, the pairs i < j come out as
+        # _canonical returns them: sorted by i * n + j, each pair once.
+        pairs = np.column_stack(np.nonzero(np.triu(adjacent, 1)))
+        pairs.setflags(write=False)
+        pool.append(pairs)
     return tuple(pool)
 
 
@@ -263,12 +260,13 @@ def star_cycle_center(n, q):
     return g + (q % g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopologySchedule:
     """Deterministic map from round index q to an edge set.
 
-    All supported schedules are cyclic: ``edges(q) = pool[q % cycle]``. Two
-    queries at the same q always return the identical edge tuple.
+    All supported schedules are cyclic: ``edges(q) = pool[q % cycle]``, and
+    two queries at the same q return the same read-only array. Schedules
+    compare by identity, as ``==`` on arrays has no single truth value.
     """
 
     n: int
@@ -319,7 +317,8 @@ def random_geometric_schedule(n, radius, pool_size, seed):
     ``(m - 1, m)``, the minimum number of edges that connects it. Component
     minima are found by labelling every node with the smallest index it can
     reach, iterated to a fixed point on the threshold matrix. ``seed`` must
-    be >= 0.
+    be >= 0. Each graph's edges are one read-only int64 (m, 2) array of
+    pairs i < j in sorted order, read straight off its adjacency matrix.
     """
     if pool_size < 1:
         raise ValueError(f"pool_size must be >= 1, got {pool_size}")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,32 @@ def test_rho_rejects_a_non_finite_constant(L, mu):
     # unchecked, L = inf gave rho = nan
     with pytest.raises(ValueError, match="^need L > mu > 0 and L finite, got L="):
         hardcase.hard_rho(L, mu)
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: objectives.gen_random_quadratic(4, 3, math.inf, 1.0, 0), "L=inf"),
+        (lambda: objectives.gen_random_quadratic(4, 3, 4.0, math.nan, 0), "mu=nan"),
+        (lambda: objectives.gen_synthetic_logistic(4, 3, 2, 0, math.inf), "got inf"),
+        (lambda: objectives.gen_synthetic_logistic(4, 3, 2, 0, math.nan), "got nan"),
+        (lambda: hardcase.build_hard_instance(math.inf, 16.0, 1.0, 40), "chi=inf"),
+        (lambda: hardcase.build_hard_instance(math.nan, 16.0, 1.0, 40), "chi=nan"),
+        (lambda: hardcase.build_hard_instance(9.0, math.inf, 1.0, 40), "L=inf"),
+        (lambda: hardcase.lower_bound_curve(math.nan, 16.0, 1.0, 5), "chi=nan"),
+    ],
+    ids=[
+        "quadratic_L", "quadratic_mu", "logistic_kappa_inf", "logistic_kappa_nan",
+        "hard_chi_inf", "hard_chi_nan", "hard_L", "curve_chi",
+    ],
+)
+def test_builders_reject_a_non_finite_constant(build, named):
+    # unchecked, these raised OverflowError, failed on a NaN reg or a NaN
+    # node count, warned, or returned an objective or curve of NaNs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"finite.*{named}"):
+            build()
 
 
 def test_build_partitions_and_centers():

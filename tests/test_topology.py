@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,16 +31,16 @@ def _connected_by_bfs(edges, n):
 
 def test_ring_star_edges_match_definitions():
     sched = topology.ring_star_schedule(4)
-    assert sched.edges(0) == ((0, 1), (0, 3), (1, 2), (2, 3))
-    assert sched.edges(1) == ((0, 1), (0, 2), (0, 3))
-    assert sched.edges(2) == sched.edges(0)
+    assert sched.edges(0).tolist() == [[0, 1], [0, 3], [1, 2], [2, 3]]
+    assert sched.edges(1).tolist() == [[0, 1], [0, 2], [0, 3]]
+    assert sched.edges(2) is sched.edges(0)
     assert sched.cycle == 2
 
 
 def test_edge_sets_drop_repeated_pairs():
     # the ring on two nodes lists its one edge twice, once from each end
-    assert topology.ring_edges(2) == ((0, 1),)
-    assert topology.ring_edges(3) == ((0, 1), (0, 2), (1, 2))
+    assert topology.ring_edges(2).tolist() == [[0, 1]]
+    assert topology.ring_edges(3).tolist() == [[0, 1], [0, 2], [1, 2]]
 
 
 def test_star_cycle_centers_have_period_n_over_3():
@@ -48,18 +49,55 @@ def test_star_cycle_centers_have_period_n_over_3():
     for q in range(12):
         center = topology.star_cycle_center(9, q)
         assert 3 <= center <= 5
-        assert sched.edges(q) == topology.star_edges(9, center)
+        assert np.array_equal(sched.edges(q), topology.star_edges(9, center))
     assert [topology.star_cycle_center(9, q) for q in range(4)] == [3, 4, 5, 3]
 
 
 def test_random_geometric_is_cyclic_and_deterministic():
     sched = topology.random_geometric_schedule(12, 0.5, pool_size=7, seed=7)
-    assert sched.edges(0) == sched.edges(7)
-    assert sched.edges(3) == sched.edges(10)
+    assert sched.edges(0) is sched.edges(7)
+    assert sched.edges(3) is sched.edges(10)
     again = topology.random_geometric_schedule(12, 0.5, pool_size=7, seed=7)
-    assert sched.pool == again.pool
+    assert [e.tolist() for e in sched.pool] == [e.tolist() for e in again.pool]
     other = topology.random_geometric_schedule(12, 0.5, pool_size=7, seed=8)
-    assert sched.pool != other.pool
+    assert [e.tolist() for e in sched.pool] != [e.tolist() for e in other.pool]
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [
+        topology.ring_star_schedule(7),
+        topology.star_cycle_schedule(9),
+        topology.random_geometric_schedule(20, 0.3, pool_size=4, seed=5),
+        # every node its own component: all 19 edges are bridges
+        topology.random_geometric_schedule(20, 0.01, pool_size=2, seed=0),
+    ],
+    ids=["ring_star", "star_cycle", "random_geometric", "random_geometric_bridged"],
+)
+def test_every_edge_set_is_a_read_only_canonical_array(sched):
+    n = sched.n
+    for q in range(sched.cycle):
+        edges = sched.edges(q)
+        assert type(edges) is np.ndarray and edges.dtype == np.int64
+        assert edges.ndim == 2 and edges.shape[1] == 2 and len(edges) > 0
+        assert edges.flags.c_contiguous and not edges.flags.writeable
+        i, j = edges[:, 0], edges[:, 1]
+        assert np.all(0 <= i) and np.all(i < j) and np.all(j < n)
+        assert np.all(np.diff(i * n + j) > 0)
+        with pytest.raises(ValueError, match="read-only"):
+            edges[0, 0] = 1
+
+
+def test_random_geometric_pool_holds_two_int64_per_edge():
+    # 104,951 edges over the 50 graphs take 1.68 MB as two int64 each
+    tracemalloc.start()
+    try:
+        sched = topology.random_geometric_schedule(200, 0.2, 50, 7)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, sched.pool)) == 104951
+    assert traced <= 2.5e6
 
 
 def test_random_geometric_pool_graphs_are_connected():
@@ -123,10 +161,10 @@ def _laplacian_by_loops(edges, n):
 @example(n=12, radius=0.5, seed=2**64 + 1, index=2**33)
 def test_random_geometric_edges_match_loop_reference(n, radius, seed, index):
     edges = topology._random_geometric_pool(n, radius, seed, (index,))[0]
-    assert edges == _random_geometric_by_loops(n, radius, seed, index)
-    assert type(edges) is tuple
-    assert all(type(e) is tuple and len(e) == 2 for e in edges)
-    assert all(type(v) is int for e in edges for v in e)
+    reference = _random_geometric_by_loops(n, radius, seed, index)
+    assert edges.tolist() == [list(e) for e in reference]
+    assert edges.dtype == np.int64 and edges.flags.c_contiguous
+    assert not edges.flags.writeable
     assert np.array_equal(
         topology.laplacian(edges, n), _laplacian_by_loops(edges, n)
     )
@@ -195,6 +233,25 @@ def test_edges_that_are_not_pairs_rejected(edges):
     with pytest.raises(ValueError, match="every edge must be a pair"):
         topology.laplacian(edges, 3)
     with pytest.raises(ValueError, match="every edge must be a pair"):
+        topology.validate_gossip(np.zeros((3, 3)), edges, 2.0)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0.5, 1)],
+        [(0, 1.9)],
+        [("0", 1)],
+        np.array([[0.5, 1.0]]),
+        [(False, True)],
+    ],
+    ids=["float_first", "float_second", "string", "float_array", "bool"],
+)
+def test_edges_with_non_integer_endpoints_rejected(edges):
+    # unchecked, each was read as the edge (0, 1)
+    with pytest.raises(ValueError, match="endpoints must be integers"):
+        topology.laplacian(edges, 3)
+    with pytest.raises(ValueError, match="endpoints must be integers"):
         topology.validate_gossip(np.zeros((3, 3)), edges, 2.0)
 
 
