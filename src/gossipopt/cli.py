@@ -57,11 +57,8 @@ def _cmd_sweep(args):
 
 def _cmd_validate_gossip(args):
     config = experiments.ExperimentConfig.from_json_file(args.config)
-    instance = None
-    if config.topology is None:
-        _, instance = experiments.build_problem(config.problem)
-    schedule = experiments._build_schedule(config, instance)
-    mixing = topology.build_mixing(schedule)
+    mixing = experiments.build_mixing(config)
+    schedule = mixing.topology
     print(f"schedule kind={schedule.kind} n={schedule.n} cycle={schedule.cycle}")
     print(f"measured chi = {mixing.chi!r}")
     if args.export_dir:

@@ -24,6 +24,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "CSV_HEADER",
+    "build_mixing",
     "build_problem",
     "emit",
     "run_experiment",
@@ -108,17 +109,20 @@ class ExperimentConfig:
         if self.stop_metric not in solver.STOP_METRICS:
             raise ValueError(f"unknown stop metric {self.stop_metric!r}")
         topology.check_section("problem", self.problem, _PROBLEM_KEYS)
-        if self.certify and self.problem["kind"] != "hard_instance":
+        hard = self.problem["kind"] == "hard_instance"
+        if self.certify and not hard:
             raise ValueError("certification requires a hard_instance problem")
         if self.certify and self.topology is not None:
-            raise ValueError(
-                "certification replays the instance's own star cycle; "
-                "drop the topology section"
-            )
+            raise ValueError("certification replays the instance's own star cycle; "
+                             "drop the topology section")
         solver.check_overrides(self.param_overrides)
+        n = hardcase.hard_node_count(self.problem["chi"]) if hard else self.problem["n"]
         if self.topology is not None:
             topology.check_section("topology", self.topology, topology.TOPOLOGY_KEYS)
-        elif self.problem["kind"] != "hard_instance":
+            if self.topology["n"] != n:
+                raise ValueError(f"topology has n={self.topology['n']} nodes "
+                                 f"but the problem has n={n}")
+        elif not hard:
             raise ValueError("config needs a topology section for this problem kind")
 
     @classmethod
@@ -178,14 +182,6 @@ def build_problem(problem):
     return gen(**params), None
 
 
-def _build_schedule(config, instance):
-    """The config's topology schedule, or the hard instance's own when the
-    config, checked at load, has no topology section."""
-    if config.topology is None:
-        return instance.schedule
-    return topology.make_schedule(**config.topology)
-
-
 def _resolve_output_path(config, output_dir):
     if config.output_path is None:
         return None
@@ -219,42 +215,39 @@ def emit(records, fmt="csv", path=None):
     return text
 
 
-def _build_mixing(config, instance, n, memo):
-    """Gossip matrices of the config's topology, shared through ``memo``.
+def build_mixing(config, instance=None, shared=None):
+    """Gossip matrices of the config's topology section or, when it has
+    none, of its hard ``instance``'s own star cycle (built here if None).
 
-    ``memo`` maps a canonical topology section to its built mixing; only
-    successful builds of configs with a ``topology`` section are stored.
+    ``shared``, a list, holds the first successful build of a topology
+    section for every later call that passes it, so runs whose configs
+    share that section build its matrices once.
     """
-    key = None
-    if memo is not None and config.topology is not None:
-        key = json.dumps(config.topology, sort_keys=True)
-    mixing = memo.get(key) if key is not None else None
-    schedule = _build_schedule(config, instance) if mixing is None else mixing.topology
-    if schedule.n != n:
-        raise ValueError(
-            f"topology has n={schedule.n} nodes but the problem has n={n}"
-        )
-    if mixing is None:
-        mixing = topology.build_mixing(schedule)
-        if key is not None:
-            memo[key] = mixing
+    if config.topology is None:
+        instance = instance or build_problem(config.problem)[1]
+        return topology.build_mixing(instance.schedule)
+    if shared:
+        return shared[0]
+    mixing = topology.build_mixing(topology.make_schedule(**config.topology))
+    if shared is not None:
+        shared.append(mixing)
     return mixing
 
 
-def run_experiment(config, output_dir=None, *, mixing_memo=None):
+def run_experiment(config, output_dir=None, *, shared_mixing=None):
     """Build every piece from the config, run, and write outputs.
 
     The declared network condition number, when present, is validated
     against the measured one (declaring less than measured is an error) and
     then drives the parameter schedule.
 
-    ``mixing_memo``, a dict, lets runs that share a topology section build
-    its gossip matrices once; :func:`sweep` passes one per call.
+    ``shared_mixing`` goes to :func:`build_mixing`; :func:`sweep` passes
+    one list per call.
     """
     started = time.perf_counter()
     objectives, instance = build_problem(config.problem)
     solver.check_overrides(config.param_overrides, objectives.mu)
-    mixing = _build_mixing(config, instance, objectives.n, mixing_memo)
+    mixing = build_mixing(config, instance, shared_mixing)
 
     chi_measured = mixing.chi
     chi_used = chi_measured
@@ -345,9 +338,10 @@ def sweep(base_config, axis, values, output_dir=None):
 
     A row's status is ``ok``, ``diverged`` when its run raised
     :class:`solver.DivergenceError`, or ``error`` for any other failure;
-    the row's ``error`` holds a failure's message. Rows that share a
-    topology section share its gossip matrices for the length of this call:
-    the first row that needs them builds them.
+    the row's ``error`` holds a failure's message. A row changes only the
+    axis, so every row has the base config's topology section, and the rows
+    share its gossip matrices for the length of this call: the first row
+    that needs them builds them.
 
     Returns rows with the counts needed for complexity plots: iterations,
     communication rounds and gradient calls at the stop target (None when
@@ -361,14 +355,14 @@ def sweep(base_config, axis, values, output_dir=None):
             f"sweep axis {axis!r} is neither T nor a key of a {kind} problem"
         )
     rows = []
-    mixing_memo = {}
+    shared_mixing = []
     for value in values:
         row = {"axis": axis, "value": value}
         try:
             result = run_experiment(
                 _config_with(base_config, axis, value),
                 output_dir,
-                mixing_memo=mixing_memo,
+                shared_mixing=shared_mixing,
             )
         except Exception as exc:  # noqa: BLE001 - row-level fault isolation
             diverged = isinstance(exc, solver.DivergenceError)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import QuadraticObjectives
-from .topology import star_cycle_center, star_cycle_schedule
+from .topology import _is_number, star_cycle_center, star_cycle_schedule
 
 __all__ = [
     "HardInstance",
@@ -42,6 +42,7 @@ __all__ = [
     "CertReport",
     "hard_rho",
     "hard_solution",
+    "hard_node_count",
     "build_hard_instance",
     "span_ceiling",
     "certify_run",
@@ -98,6 +99,18 @@ def _chain_quadratic(d, L, mu, pairs, anchor):
     return quad, lin, offset
 
 
+def hard_node_count(chi):
+    """Node count 3 floor(chi / 3) of the hard instance for a finite chi >= 3."""
+    if not math.inf > chi >= 3:
+        raise ValueError(f"need chi >= 3 and chi finite, got chi={chi}")
+    return 3 * int(chi // 3)
+
+
+def _check_integer(name, value, least):
+    if not (_is_number(value, int) and value >= least):
+        raise ValueError(f"need {name} an integer >= {least}, got {name}={value!r}")
+
+
 def build_hard_instance(chi, L, mu, d_trunc):
     """Assemble the worst-case objectives and their star-cycle schedule.
 
@@ -110,7 +123,7 @@ def build_hard_instance(chi, L, mu, d_trunc):
     L, mu : float
         Smoothness and strong convexity, finite L > mu > 0.
     d_trunc : int
-        Truncation dimension, >= 4. Runs take x* from the truncated
+        Truncation dimension, an integer >= 4. Runs take x* from the truncated
         objective; the certificate subtracts the closed form's truncation slack.
 
     The objectives hold one curvature matrix per third, shape
@@ -118,12 +131,9 @@ def build_hard_instance(chi, L, mu, d_trunc):
     stores 3.84 MB of curvature, not 384 MB. The linear terms and offsets
     stay per node.
     """
-    if not math.inf > chi >= 3:
-        raise ValueError(f"need chi >= 3 and chi finite, got chi={chi}")
+    n = hard_node_count(chi)
     rho = hard_rho(L, mu)
-    if d_trunc < 4:
-        raise ValueError(f"need d_trunc >= 4, got {d_trunc}")
-    n = 3 * int(chi // 3)
+    _check_integer("d_trunc", d_trunc, 4)
     g = n // 3
 
     # One-based chain links (2l, 2l+1) for the first group and (2l-1, 2l)
@@ -368,12 +378,10 @@ def lower_bound_curve(chi, L, mu, q_max):
     The exact form is C rho^(24 q / chi) with C = rho^4 / (1 - rho^2); the
     relaxed form replaces rho^24 by the Bernoulli bound
     max(0, 1 - 24 sqrt(6 mu / L)), clamping at zero. Exact dominates relaxed
-    pointwise.
+    pointwise. ``q_max`` is an integer >= 0.
     """
-    if not math.inf > chi >= 3:
-        raise ValueError(f"need chi >= 3 and chi finite, got chi={chi}")
-    if q_max < 0:
-        raise ValueError(f"need q_max >= 0, got {q_max}")
+    hard_node_count(chi)
+    _check_integer("q_max", q_max, 0)
     rho = hard_rho(L, mu)
     c = rho**4 / (1.0 - rho**2)
     q = np.arange(q_max + 1)

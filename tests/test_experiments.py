@@ -428,14 +428,10 @@ def test_run_experiment_rejects_unknown_problem_and_topology_keys(
         experiments.run_experiment(cfg)
 
 
-def test_topology_n_must_match_problem_n(monkeypatch):
-    def unexpected(schedule):
-        raise AssertionError("mixing built before the node counts were compared")
-
-    monkeypatch.setattr(experiments.topology, "build_mixing", unexpected)
-    cfg = _quadratic_config(topology={"kind": "ring_star", "n": 5})
-    with pytest.raises(ValueError, match="n=5.*n=4"):
-        experiments.run_experiment(cfg)
+def test_topology_n_must_match_problem_n():
+    with pytest.raises(ValueError,
+                       match="^topology has n=5 nodes but the problem has n=4$"):
+        _quadratic_config(topology={"kind": "ring_star", "n": 5})
 
 
 _UNSEEDED = {"kind": "random_quadratic", "n": 4, "d": 3, "L": 10.0, "mu": 1.0}
@@ -656,6 +652,15 @@ def test_sweep_shares_no_mixing_without_topology_section(monkeypatch):
     rows = experiments.sweep(_hard_config(budget=2), "T", [1, 2])
     assert [r["status"] for r in rows] == ["ok", "ok"]
     assert len(calls) == 2
+
+
+def test_chi_sweep_fails_only_the_rows_of_another_node_count(monkeypatch):
+    calls = _count_build_mixing(monkeypatch)
+    cfg = _hard_config(topology={"kind": "ring_star", "n": 9}, budget=2)
+    rows = experiments.sweep(cfg, "chi", [9.0, 12.0, 10.0])
+    assert [r["status"] for r in rows] == ["ok", "error", "ok"]
+    assert rows[1]["error"] == "topology has n=9 nodes but the problem has n=12"
+    assert len(calls) == 1
 
 
 def test_sweep_T_axis():
@@ -920,16 +925,17 @@ def test_cli_sweep_prints_why_each_row_failed(tmp_path, capsys):
         {
             "problem": {"kind": "synthetic_logistic", "n": 6, "m": 5, "d": 3,
                         "kappa": 10.0, "seed": 0},
-            "topology": {"kind": "ring_star", "n": 5},
+            "topology": {"kind": "ring_star", "n": 6},
             "stop": {"budget": 5},
         },
     )
-    assert cli.main(["sweep", config, "--axis", "kappa", "--values", "10,100"]) == 1
+    # the generator, not config load, rejects a kappa that is not above 1
+    assert cli.main(["sweep", config, "--axis", "kappa", "--values", "0.5,0.8"]) == 1
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[1:] == ["10.0,error,,,", "100.0,error,,,"]
-    why = "topology has n=5 nodes but the problem has n=6"
+    assert captured.out.splitlines()[1:] == ["0.5,error,,,", "0.8,error,,,"]
     assert captured.err.splitlines() == [
-        f"error: sweep value {v}: {why}" for v in ("10.0", "100.0")
+        f"error: sweep value {v}: kappa must be finite and exceed 1, got {v}"
+        for v in ("0.5", "0.8")
     ]
 
 
@@ -1002,6 +1008,40 @@ def test_cli_kappa_sweep_with_a_bad_section_fails_before_any_row(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {named}\n"
+
+
+_HARD = {"kind": "hard_instance", "chi": 9.0, "L": 16.0, "mu": 1.0, "d_trunc": 40}
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"problem": {**_QUADRATIC, "n": 10}, "topology": {"kind": "ring_star", "n": 12}},
+         "topology has n=12 nodes but the problem has n=10"),
+        ({"problem": {**_HARD, "chi": 10.0}, "topology": {"kind": "ring_star", "n": 10}},
+         "topology has n=10 nodes but the problem has n=9"),
+        ({"problem": {**_HARD, "chi": 2.0}},
+         "need chi >= 3 and chi finite, got chi=2.0"),
+    ],
+    ids=["quadratic_n", "hard_instance_n", "hard_instance_chi"],
+)
+def test_commands_reject_a_node_count_mismatch_at_load(tmp_path, capsys, monkeypatch,
+                                                       config, named):
+    # run, sweep and validate-gossip read a config the same way: before, a
+    # mismatch failed run, failed each sweep row and passed validate-gossip
+    monkeypatch.setattr(experiments, "build_problem", _unreachable("build_problem"))
+    monkeypatch.setattr(experiments.topology, "build_mixing",
+                        _unreachable("build_mixing"))
+    obj = {**config, "stop": {"budget": 5}}
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        ExperimentConfig.from_dict(obj)
+    path = _write_config(tmp_path, obj)
+    for argv in (["run", path], ["sweep", path, "--axis", "T", "--values", "1,2"],
+                 ["validate-gossip", path]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {named}\n"
 
 
 @pytest.mark.parametrize("section", ["problem", "topology"])

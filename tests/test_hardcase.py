@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -332,6 +333,65 @@ def test_certify_rejects_empty_trace():
     inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
     with pytest.raises(ValueError, match="empty trace"):
         hardcase.certify_run(inst, [], T=3)
+
+
+@pytest.mark.parametrize("d_trunc", [40.5, 40.0, math.inf, math.nan, True, "40", 3])
+def test_build_rejects_a_d_trunc_that_is_not_an_integer_from_4(d_trunc):
+    # unchecked, 40.5 and inf raised TypeError from range()
+    with pytest.raises(ValueError, match=re.escape(
+        f"need d_trunc an integer >= 4, got d_trunc={d_trunc!r}"
+    )):
+        hardcase.build_hard_instance(9.0, 16.0, 1.0, d_trunc)
+
+
+@pytest.mark.parametrize("q_max", [2.5, 3.0, math.inf, math.nan, False, "3", -1])
+def test_lower_bound_curve_rejects_a_q_max_that_is_not_a_count(q_max):
+    # unchecked, nan failed in arange and 2.5 returned 4 rows
+    with pytest.raises(ValueError, match=re.escape(
+        f"need q_max an integer >= 0, got q_max={q_max!r}"
+    )):
+        hardcase.lower_bound_curve(9.0, 16.0, 1.0, q_max)
+
+
+def _gradient_descent_trace(inst, iterations, T, mix):
+    """Iterates of plain decentralized gradient descent from zero: a gradient
+    step of 1/L at every node, then T communication rounds ``mix(x, q)``."""
+    x = np.zeros((inst.n, inst.d_trunc))
+    xs = [x]
+    for k in range(iterations):
+        x = x - inst.objectives.grad(x) / inst.L
+        for q in range(k * T, (k + 1) * T):
+            x = mix(x, q)
+        xs.append(x)
+    return xs
+
+
+@pytest.mark.parametrize("T", [1, 2, 4])
+def test_certify_passes_decentralized_gradient_descent(T):
+    inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
+
+    def star_gossip(x, q):
+        # I - L_q / n averages along round q's star only
+        return x - topology.laplacian(inst.schedule.edges(q), inst.n) @ x / inst.n
+
+    xs = _gradient_descent_trace(inst, 40, T, star_gossip)
+    # the iterates leave the first coordinates, so the spans are exercised
+    assert (np.abs(xs[-1]) > hardcase.ZERO_TOL).any(axis=0).sum() >= 9
+    report = hardcase.certify_run(inst, xs, T=T)
+    assert report.passed
+    assert len(report.support_ok) == 41
+
+
+def test_certify_fails_a_method_that_averages_over_all_nodes():
+    inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
+
+    def average(x, q):
+        return np.broadcast_to(x.mean(axis=0), x.shape)
+
+    report = hardcase.certify_run(inst, _gradient_descent_trace(inst, 10, 1, average))
+    assert not report.passed
+    assert report.first_violation["check"] == "support"
+    assert report.first_violation["k"] == 1
 
 
 def test_lower_bound_curve_rejects_negative_q_max():
