@@ -20,14 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "as_blocks",
     "mix",
     "project_consensus",
     "multi_mix",
 ]
 
 
-def as_blocks(v):
+def _as_blocks(v):
     """Validate and return a 2-d float view of a distributed vector."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 2:
@@ -42,7 +41,7 @@ def mix(w, v):
     zero regardless of the input.
     """
     w = np.asarray(w, dtype=float)
-    v = as_blocks(v)
+    v = _as_blocks(v)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"gossip matrix must be square, got shape {w.shape}")
     if w.shape[0] != v.shape[0]:
@@ -82,7 +81,7 @@ def multi_mix(mixing, k, T, v):
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    v = as_blocks(v)
+    v = _as_blocks(v)
     whole, rest = divmod(T, mixing.cycle)
     start = k * T
     # The products write into preallocated buffers and swap them, so

@@ -4,7 +4,7 @@ Subcommands: ``run`` (single experiment), ``sweep`` (one axis),
 ``validate-gossip`` (axiom report over one schedule cycle), ``lowerbound``
 (worst-case run certification and error-floor curve), ``params`` (print the
 derived schedule). Exit codes: 0 success, 2 a certification or validation
-check failed, 1 error.
+check failed, 1 error, a usage error included.
 """
 
 from __future__ import annotations
@@ -31,10 +31,16 @@ def _cmd_run(args):
 
 
 def _cmd_sweep(args):
+    axis = args.axis
+    parse, rule = (int, "an integer") if axis == "T" else (float, "a number")
+    values = []
+    for v in filter(None, args.values.split(",")):
+        try:
+            values.append(parse(v))
+        except ValueError:
+            raise ValueError(f"--values: {axis} must be {rule}, got {v!r}") from None
     config = experiments.ExperimentConfig.from_json_file(args.config)
-    parse = int if args.axis == "T" else float
-    values = [parse(v) for v in args.values.split(",") if v]
-    rows = experiments.sweep(config, args.axis, values, output_dir=args.output_dir)
+    rows = experiments.sweep(config, axis, values, output_dir=args.output_dir)
     print("value,status,iterations_to_eps,comm_rounds_to_eps,grad_calls_to_eps")
     for row in rows:
         if row["error"] is not None:
@@ -138,19 +144,23 @@ def _write_curve(path, exact, relaxed):
 
 
 def _cmd_params(args):
-    chi = args.chi
-    T = args.T
-    if T == "auto":
-        T = solver.consensus_rounds(chi)
-    else:
-        T = int(T)
-    chi_eff = solver.effective_chi(chi, T)
+    T = solver.consensus_rounds(args.chi) if args.T == "auto" else args.T
+    chi_eff = solver.effective_chi(args.chi, T)
     params = solver.derive_params(args.L, args.mu, chi_eff)
     print(f"T = {T}")
     print(f"chi_eff = {chi_eff!r}")
     for name, value in asdict(params).items():
         print(f"{name} = {value!r}")
     return 0
+
+
+def _rounds(text):
+    """``--T``: an integer, or ``auto`` for ceil(chi ln 2)."""
+    try:
+        return text if text == "auto" else int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer or 'auto', got {text!r}") from None
 
 
 def build_parser():
@@ -196,14 +206,19 @@ def build_parser():
     par_p.add_argument("--L", type=float, required=True)
     par_p.add_argument("--mu", type=float, required=True)
     par_p.add_argument("--chi", type=float, required=True)
-    par_p.add_argument("--T", default="1", help="sub-rounds per iteration, or 'auto'")
+    par_p.add_argument("--T", type=_rounds, default="1",
+                       help="sub-rounds per iteration, or 'auto'")
     par_p.set_defaults(func=_cmd_params)
 
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a failed check.
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - single CLI failure surface

@@ -716,6 +716,42 @@ def test_cli_params_rejects_a_non_finite_value(capsys, args, named):
     assert captured.err == f"error: {named}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["sweep", "c.json", "--axis", "foo", "--values", "1"],
+     ["params", "--mu", "1", "--chi", "9"], ["params", "--L", "abc", "--mu", "1", "--chi", "9"]],
+    ids=["no_command", "bad_axis", "missing_flag", "bad_float"],
+)
+def test_cli_usage_errors_exit_1(capsys, argv):
+    # 2 is the code of a failed certification or validation.
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: gossipopt")
+
+
+def test_cli_help_exits_0(capsys):
+    assert cli.main(["-h"]) == 0
+    assert "usage: gossipopt" in capsys.readouterr().out
+
+
+def test_cli_names_the_flag_of_a_value_it_cannot_parse(tmp_path, capsys):
+    assert cli.main(["params", "--L", "4", "--mu", "1", "--chi", "9", "--T", "abc"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: argument --T: must be an integer or 'auto', got 'abc'\n"
+    )
+    # The values are read before the config, which does not exist here.
+    missing = str(tmp_path / "missing.json")
+    for axis, values, rule, bad in (("T", "1,1.5", "an integer", "1.5"),
+                                    ("kappa", "10,x", "a number", "x")):
+        assert cli.main(["sweep", missing, "--axis", axis, "--values", values]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --values: {axis} must be {rule}, got {bad!r}\n"
+        )
+
+
 def test_cli_params_auto_T(capsys):
     assert cli.main(["params", "--L", "4", "--mu", "1", "--chi", "9", "--T", "auto"]) == 0
     out = capsys.readouterr().out

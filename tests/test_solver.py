@@ -774,10 +774,20 @@ def _final_block_of_one(target, stop_metric):
                    collect=False, seed=0)
 
 
+def _traced_in_blocks(n, block, stop_metric):
+    """Traced, tracked runs that converge in their third block: 19 records
+    in blocks of 8 (stacked), 26 in blocks of 9 (mean-block)."""
+    return example(kind="quadratic", n=n, d=2, kappa=10.0, T=1, budget=40,
+                   block=block, target=0.1, stop_metric=stop_metric, track=True,
+                   collect=True, seed=0)
+
+
 @given(**_STEPWISE)
 @_final_block_of_one(None, "stacked")
 @_final_block_of_one(1e-4, "stacked")
 @_final_block_of_one(1e-4, "mean_block")
+@_traced_in_blocks(3, 8, "stacked")
+@_traced_in_blocks(6, 9, "mean_block")
 @settings(max_examples=80, deadline=None)
 def test_run_matches_the_stepwise_loop(kind, n, d, kappa, T, budget, block,
                                        target, stop_metric, track, collect,
