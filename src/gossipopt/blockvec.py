@@ -17,6 +17,8 @@ to build the T-round operator that the solver applies as one ``mix``.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
@@ -24,6 +26,13 @@ __all__ = [
     "project_consensus",
     "multi_mix",
 ]
+
+
+def _check_integer(name, value, least):
+    """Reject ``value`` unless it is an integer >= ``least``: a numpy
+    integer is one, a bool or a float such as 2.0 is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _as_blocks(v):
@@ -79,8 +88,7 @@ def multi_mix(mixing, k, T, v):
     and the ``rest`` leftover rounds follow one by one: at most
     ``cycle + rest + 2 * whole.bit_length()`` matrix products.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    _check_integer("T", T, 1)
     v = _as_blocks(v)
     whole, rest = divmod(T, mixing.cycle)
     start = k * T

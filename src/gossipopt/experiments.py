@@ -261,9 +261,10 @@ def run_experiment(config, output_dir=None, *, shared_mixing=None):
 
     T = solver.consensus_rounds(chi_used) if config.T == "auto" else config.T
     chi_eff = solver.effective_chi(chi_used, T)
-    params = solver.derive_params(objectives.L, objectives.mu, chi_eff)
-    if config.param_overrides:
-        params = params.override(**config.param_overrides)
+    params = replace(
+        solver.derive_params(objectives.L, objectives.mu, chi_eff),
+        **config.param_overrides,
+    )
 
     reference = solver.make_reference(objectives, params.nu)
 
@@ -354,34 +355,23 @@ def sweep(base_config, axis, values, output_dir=None):
         raise ValueError(
             f"sweep axis {axis!r} is neither T nor a key of a {kind} problem"
         )
+    counts = ("iterations", "comm_rounds", "grad_calls")
     rows = []
     shared_mixing = []
     for value in values:
-        row = {"axis": axis, "value": value}
+        row = {"axis": axis, "value": value, "status": "ok", "error": None}
+        row.update((f"{count}_to_eps", None) for count in counts)
         try:
-            result = run_experiment(
+            summary = run_experiment(
                 _config_with(base_config, axis, value),
                 output_dir,
                 shared_mixing=shared_mixing,
-            )
+            ).summary
         except Exception as exc:  # noqa: BLE001 - row-level fault isolation
             diverged = isinstance(exc, solver.DivergenceError)
-            row.update(
-                status="diverged" if diverged else "error",
-                error=str(exc),
-                iterations_to_eps=None,
-                comm_rounds_to_eps=None,
-                grad_calls_to_eps=None,
-            )
+            row.update(status="diverged" if diverged else "error", error=str(exc))
         else:
-            s = result.summary
-            converged = s["converged"]
-            row.update(
-                status="ok",
-                error=None,
-                iterations_to_eps=s["iterations"] if converged else None,
-                comm_rounds_to_eps=s["comm_rounds"] if converged else None,
-                grad_calls_to_eps=s["grad_calls"] if converged else None,
-            )
+            if summary["converged"]:
+                row.update((f"{count}_to_eps", summary[count]) for count in counts)
         rows.append(row)
     return rows

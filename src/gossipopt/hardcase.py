@@ -107,8 +107,11 @@ def hard_node_count(chi):
 
 
 def _check_integer(name, value, least):
+    """Reject ``value`` unless it is an integer >= ``least``, by the rule and
+    wording of ``blockvec._check_integer``; this layer imports topology, not
+    blockvec."""
     if not (_is_number(value, int) and value >= least):
-        raise ValueError(f"need {name} an integer >= {least}, got {name}={value!r}")
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def build_hard_instance(chi, L, mu, d_trunc):
@@ -221,8 +224,7 @@ class SpanTracker:
         at M. Past n/3 rounds the first center is revisited holding M and
         passes it to every node.
         """
-        if T < 1:
-            raise ValueError(f"T must be >= 1, got {T}")
+        _check_integer("T", T, 1)
         s = np.array(self.after_compute().s)
         peak = s.max()
         if T > self.group_size:
@@ -303,8 +305,7 @@ def certify_run(instance, xs, T=1):
     values, or ValueError names it. An empty trace raises ValueError: it
     would certify nothing.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    _check_integer("T", T, 1)
     rho = instance.rho
     x_star = instance.solution()
     tail = 1.0 - rho**2

@@ -39,7 +39,7 @@ communication rounds per iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -138,12 +138,6 @@ class Params:
     gamma: float
     delta: float
     zeta: float
-
-    def override(self, **values):
-        """Replace selected fields, checked by :func:`check_overrides`
-        without mu, which these fields do not carry."""
-        check_overrides(values)
-        return replace(self, **values)
 
     @cached_property
     def _linear_map(self):
@@ -247,8 +241,7 @@ def effective_chi(chi, T):
     with constant condition number 2.
     """
     _check_chi(chi)
-    if T < 1:
-        raise ValueError(f"need T >= 1, got {T}")
+    blockvec._check_integer("T", T, 1)
     if T == 1:
         return chi
     contraction = (1.0 - 1.0 / chi) ** T
@@ -638,9 +631,11 @@ def run(
     objectives : QuadraticObjectives or LogisticObjectives
     mixing : topology.MixingSchedule
     T : int
-        Consensus sub-rounds per iteration (1 = one gossip round).
+        Consensus sub-rounds per iteration (1 = one gossip round), an
+        integer >= 1.
     budget : int, optional
-        Maximum number of iterations; ``ITERATION_CAP`` when omitted.
+        Maximum number of iterations, an integer >= 0; ``ITERATION_CAP``
+        when omitted.
     target_eps : float, optional
         Stop once the squared error of the chosen metric falls below this.
         With a target, the run also stops, as ``"stalled"``, once that
@@ -689,8 +684,9 @@ def run(
     """
     if budget is None and target_eps is None:
         raise ValueError("need a budget, a target_eps, or both")
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    blockvec._check_integer("T", T, 1)
+    if budget is not None:
+        blockvec._check_integer("budget", budget, 0)
     if stop_metric not in STOP_METRICS:
         raise ValueError(f"unknown stop metric {stop_metric!r}")
     if params is None:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1149,3 +1150,21 @@ def test_declared_chi_run_is_not_stopped_as_stalled():
     assert summary["chi_used"] == 200.0 and summary["chi_measured"] < 7.0
     assert summary["stop_reason"] == "converged"
     assert summary["final_err_sq_stacked"] <= 1e-5
+
+
+def _readme_block(language):
+    """The first fenced ``language`` block of the README, without its fences."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_runs(tmp_path, capsys, monkeypatch):
+    exec(_readme_block("python"), {})
+    last = capsys.readouterr().out.split()
+    assert len(last) == 4 and int(last[0]) > 0
+    config = ExperimentConfig.from_dict(json.loads(_readme_block("json")))
+    assert config.T == "auto" and config.output_path == "run.csv"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(_readme_block("json"))
+    assert cli.main(["params", "--L", "4", "--mu", "1", "--chi", "9", "--T", "auto"]) == 0
+    assert cli.main(["validate-gossip", "config.json"]) == 0

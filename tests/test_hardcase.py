@@ -339,7 +339,7 @@ def test_certify_rejects_empty_trace():
 def test_build_rejects_a_d_trunc_that_is_not_an_integer_from_4(d_trunc):
     # unchecked, 40.5 and inf raised TypeError from range()
     with pytest.raises(ValueError, match=re.escape(
-        f"need d_trunc an integer >= 4, got d_trunc={d_trunc!r}"
+        f"d_trunc must be an integer >= 4, got {d_trunc!r}"
     )):
         hardcase.build_hard_instance(9.0, 16.0, 1.0, d_trunc)
 
@@ -348,7 +348,7 @@ def test_build_rejects_a_d_trunc_that_is_not_an_integer_from_4(d_trunc):
 def test_lower_bound_curve_rejects_a_q_max_that_is_not_a_count(q_max):
     # unchecked, nan failed in arange and 2.5 returned 4 rows
     with pytest.raises(ValueError, match=re.escape(
-        f"need q_max an integer >= 0, got q_max={q_max!r}"
+        f"q_max must be an integer >= 0, got {q_max!r}"
     )):
         hardcase.lower_bound_curve(9.0, 16.0, 1.0, q_max)
 

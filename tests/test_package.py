@@ -28,15 +28,21 @@ def _is_all_assignment(node):
 
 
 def _referenced_names(path):
-    """Identifiers a file uses: names, attributes, imported names, and string
-    constants that are a bare identifier (``setattr(module, "name", ...)``).
+    """Identifiers a file uses, as two sets.
+
+    The first holds names, attributes, imported names, and string constants
+    that are a bare identifier (``setattr(module, "name", ...)``). The
+    second holds only the ways to reach a class member: attribute loads
+    (``result.state``), imported names and those string constants. A bare
+    name is a local variable or a module-level name, so a member named like
+    a local (``state = ...``) is not used by it.
 
     Definitions (``def name``, ``class name``, a dataclass field's
     ``name: type``), keyword arguments (``Report(name=...)``) and the
     ``__all__`` list are not uses, so a name counts only where something
     else reaches it.
     """
-    found = set()
+    names, members = set(), set()
     stack = [ast.parse(path.read_text(), filename=str(path))]
     while stack:
         node = stack.pop()
@@ -46,16 +52,20 @@ def _referenced_names(path):
             stack.extend(filter(None, (node.annotation, node.value)))
             continue
         if isinstance(node, ast.Name):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            names.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                members.add(node.attr)
         elif isinstance(node, ast.alias):
-            found.add(node.name)
+            names.add(node.name)
+            members.add(node.name)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
-                found.add(node.value)
+                names.add(node.value)
+                members.add(node.value)
         stack.extend(ast.iter_child_nodes(node))
-    return found
+    return names, members
 
 
 def _exported(name):
@@ -79,12 +89,15 @@ def _exported(name):
                 yield f"{name}.{exported}.{member}"
 
 
-# Fields that no program reads yet, kept for the ROADMAP items that read
-# them: the event sink of item 3 records the Lyapunov components, and
-# item 8 prints the measured contraction ratio of the compound operator.
+# Fields that no program here reads, each kept for its reader: the event
+# sink of ROADMAP item 3 records the Lyapunov components, item 8 prints the
+# measured contraction ratio of the compound operator, and a run's final
+# state is its final iterate, the answer a library caller of solver.run
+# reads.
 UNREAD_FIELDS_KEPT = {
     "solver.LyapunovReport.components",  # ROADMAP item 3
     "topology.ValidationReport.spectral_worst_ratio",  # ROADMAP item 8
+    "solver.RunResult.state",  # the library's answer
 }
 
 
@@ -94,12 +107,16 @@ def test_every_exported_name_has_a_caller():
     sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
     sources += (ROOT / "bench").glob("*.py")
     sources.append(ROOT / "tests" / "test_acceptance.py")
-    used = set().union(*(_referenced_names(p) for p in sources))
+    found = [_referenced_names(p) for p in sources]
+    names = set().union(*(f[0] for f in found))
+    members = set().union(*(f[1] for f in found))
     unused = [
         dotted
         for name in MODULES
         for dotted in _exported(name)
-        if dotted.rsplit(".", 1)[1] not in used and dotted not in UNREAD_FIELDS_KEPT
+        # module.name, or module.Class.member
+        if dotted.rsplit(".", 1)[1] not in (members if dotted.count(".") == 2 else names)
+        and dotted not in UNREAD_FIELDS_KEPT
     ]
     assert not unused, f"exported but never used outside a unit test: {unused}"
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 import warnings
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gossipopt import blockvec, experiments, objectives, solver, topology
+from gossipopt import blockvec, experiments, hardcase, objectives, solver, topology
 
 
 def _transcribed_step(state, p, obj, mixing, T=1):
@@ -110,10 +111,10 @@ def test_param_invariants():
 
 def test_param_override():
     p = solver.derive_params(4.0, 1.0, 2.0)
-    q = p.override(gamma=0.25)
+    q = dataclasses.replace(p, gamma=0.25)
     assert q.gamma == 0.25 and q.tau1 == p.tau1
     with pytest.raises(ValueError):
-        p.override(gamma=-1.0)
+        solver.check_overrides({"gamma": -1.0})
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -123,16 +124,15 @@ def test_non_finite_override_is_rejected(value):
     with pytest.raises(ValueError, match=f"^override nu={value} must be finite$"):
         solver.check_overrides({"nu": value}, mu=math.inf)
     with pytest.raises(ValueError, match="must be finite"):
-        solver.derive_params(4.0, 1.0, 2.0).override(delta=value)
+        solver.check_overrides({"delta": value})
 
 
 @pytest.mark.parametrize("name", ["tau1", "sigma1"])
 @pytest.mark.parametrize("value", [1.0, 3.0, 0.0])
 def test_param_override_keeps_interpolation_weights_in_unit_interval(name, value):
-    p = solver.derive_params(4.0, 1.0, 2.0)
     with pytest.raises(ValueError, match=name):
-        p.override(**{name: value})
-    assert getattr(p.override(**{name: 0.5}), name) == 0.5
+        solver.check_overrides({name: value})
+    solver.check_overrides({name: 0.5})
 
 
 def test_effective_chi():
@@ -418,6 +418,51 @@ def test_run_requires_stop_criterion():
         solver.run(obj, mixing, budget=5, stop_metric="nope")
 
 
+def _round_count_callers():
+    """Each library entry point that takes a round count T, as a call of T
+    alone, on the chi = 9 hard instance and its star cycle."""
+    inst = hardcase.build_hard_instance(9.0, 16.0, 1.0, 30)
+    mixing = topology.build_mixing(inst.schedule)
+    x = np.zeros((inst.n, inst.d_trunc))
+    return {
+        "run": lambda T: solver.run(inst.objectives, mixing, T=T, budget=3),
+        "effective_chi": lambda T: solver.effective_chi(9.0, T),
+        "multi_mix": lambda T: blockvec.multi_mix(mixing, 0, T, x),
+        "after_iteration": lambda T: hardcase.SpanTracker.fresh(9).after_iteration(T),
+        "certify_run": lambda T: hardcase.certify_run(inst, [x], T=T),
+    }
+
+
+@pytest.mark.parametrize("T", [2.5, 2.0, True])
+@pytest.mark.parametrize(
+    "entry", ["run", "effective_chi", "multi_mix", "after_iteration", "certify_run"]
+)
+def test_a_round_count_that_is_not_an_integer_from_1_is_rejected(entry, T):
+    # unchecked, 2.5 and 2.0 raised TypeError or IndexError deep inside, or
+    # returned a value, and True ran as T = 1
+    with pytest.raises(ValueError, match=re.escape(f"T must be an integer >= 1, got {T!r}")):
+        _round_count_callers()[entry](T)
+
+
+def test_numpy_integer_round_counts_and_budgets_are_accepted():
+    obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
+    mixing = topology.build_mixing(topology.ring_star_schedule(3))
+    got = solver.run(obj, mixing, T=np.int64(2), budget=np.int64(3))
+    assert got.records == solver.run(obj, mixing, T=2, budget=3).records
+    assert solver.effective_chi(9.0, np.int64(2)) == solver.effective_chi(9.0, 2)
+
+
+@pytest.mark.parametrize("budget", [2.5, 2.0, True, -1])
+def test_run_rejects_a_budget_that_is_not_an_integer_from_0(budget):
+    # unchecked, 2.5 ran 3 iterations and stopped as "budget"
+    obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
+    mixing = topology.build_mixing(topology.ring_star_schedule(3))
+    with pytest.raises(ValueError, match=re.escape(
+        f"budget must be an integer >= 0, got {budget!r}"
+    )):
+        solver.run(obj, mixing, budget=budget)
+
+
 def _run_in_blocks(block, obj, mixing, **kwargs):
     """``solver.run`` with its potential taken in blocks of ``block``
     iterates (None: as many as the default rule gives), checking through its
@@ -454,8 +499,8 @@ def test_divergence_guard_reports_iteration():
     obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
     mixing = topology.build_mixing(topology.ring_star_schedule(3))
     # gamma * delta >> 2 makes the z relaxation an unstable amplifier
-    params = solver.derive_params(obj.L, obj.mu, mixing.chi).override(
-        gamma=1e8, delta=1e8
+    params = dataclasses.replace(
+        solver.derive_params(obj.L, obj.mu, mixing.chi), gamma=1e8, delta=1e8
     )
     state = solver.init_state(obj.n, obj.d)
     for _ in range(7):
@@ -522,8 +567,7 @@ def _fused_cases(draw):
     overrides = draw(
         st.dictionaries(st.sampled_from(_OVERRIDABLE), st.floats(0.01, 0.99), max_size=3)
     )
-    if overrides:
-        params = params.override(**overrides)
+    params = dataclasses.replace(params, **overrides)
     obj = objectives.gen_random_quadratic(n, d, L=10.0, mu=1.0, seed=draw(st.integers(0, 99)))
     state = _random_state(n, d, seed=draw(st.integers(0, 2**32 - 1)),
                           k=draw(st.integers(0, 20)))
