@@ -278,7 +278,8 @@ def run_experiment(config, output_dir=None, *, shared_mixing=None):
         reference=reference,
         stop_metric=config.stop_metric,
         track_lyapunov=config.record_lyapunov,
-        collect_trace=config.certify,
+        # The certifier checks only the iterates before span saturation.
+        collect_trace=config.certify and hardcase.checked_iterates(instance, T),
     )
 
     cert_report = None

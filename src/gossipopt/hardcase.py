@@ -45,6 +45,7 @@ __all__ = [
     "hard_node_count",
     "build_hard_instance",
     "span_ceiling",
+    "checked_iterates",
     "certify_run",
     "lower_bound_curve",
 ]
@@ -189,8 +190,8 @@ class SpanTracker:
 
     @classmethod
     def fresh(cls, n):
-        if n < 3 or n % 3 != 0:
-            raise ValueError(f"need n divisible by 3 and >= 3, got {n}")
+        if not (_is_number(n, int) and n >= 3 and n % 3 == 0):
+            raise ValueError(f"need n an integer divisible by 3 and >= 3, got {n!r}")
         return cls(s=(0,) * n, q=0, n=n)
 
     @property
@@ -274,6 +275,39 @@ def _support_lengths(x):
     return np.where(mask.any(axis=1), last, 0)
 
 
+def _span_floors(instance, T):
+    """(span, bound, floor) of iterates 0, 1, 2, ... before saturation (see
+    :func:`certify_run`): the spans s_i, check (b)'s bound and that bound
+    less its tolerance. The tracker advances only when the next iterate is
+    asked for."""
+    rho = instance.rho
+    tail = 1.0 - rho**2
+    slack = 2.0 * rho ** (2 * instance.d_trunc) / tail
+    tracker = SpanTracker.fresh(instance.n)
+    while True:
+        span = np.array(tracker.s)
+        bound = rho ** (2 * span + 2) / tail - slack
+        floor = bound - 1e-12 * np.maximum(1.0, np.abs(bound))
+        if span.min() >= instance.d_trunc and floor.max() <= 0.0:
+            return
+        yield span, bound, floor
+        tracker = tracker.after_iteration(T)
+
+
+def checked_iterates(instance, T):
+    """Number of leading iterates :func:`certify_run` checks, at T
+    communication rounds per iteration: the length of its tracker walk.
+
+    With T > n/3 every span is k after k iterations, and at s_i = d_trunc
+    the truncation slack makes every floor negative, so the count is
+    d_trunc, taken without the walk.
+    """
+    _check_integer("T", T, 1)
+    if T > instance.n // 3:
+        return instance.d_trunc
+    return sum(1 for _ in _span_floors(instance, T))
+
+
 def certify_run(instance, xs, T=1):
     """Check a traced run of a first-order decentralized method.
 
@@ -297,26 +331,26 @@ def certify_run(instance, xs, T=1):
     s_i >= d_trunc no support (at most d_trunc) exceeds its span; and the
     distance floor, less its 1e-12 relative tolerance, falls as s_i grows,
     so once it is <= 0 at every node no squared distance is below it (the
-    truncation slack makes it negative from s_i = d_trunc on). With T > n/3
-    every span grows by one an iteration, and only the first d_trunc
-    iterates are checked.
+    truncation slack makes it negative from s_i = d_trunc on).
+
+    So the first ``checked_iterates(instance, T)`` entries give the same
+    ``passed`` and ``first_violation`` as the whole trace, with
+    ``support_ok`` and ``distance_ok`` covering only them. Later entries
+    are checked only for their shape and finite values, which
+    ``solver.run`` ensures by raising ``DivergenceError``, so a run may
+    leave them out.
 
     Every entry, checked or not, must have shape (n, d_trunc) and finite
     values, or ValueError names it. An empty trace raises ValueError: it
     would certify nothing.
     """
     _check_integer("T", T, 1)
-    rho = instance.rho
     x_star = instance.solution()
-    tail = 1.0 - rho**2
-    slack = 2.0 * rho ** (2 * instance.d_trunc) / tail
     shape = (instance.n, instance.d_trunc)
-
-    tracker = SpanTracker.fresh(instance.n)
+    floors = _span_floors(instance, T)
     support_ok = []
     distance_ok = []
     first_violation = None
-    saturated = False
 
     k = -1
     for k, x in enumerate(xs):
@@ -327,16 +361,10 @@ def certify_run(instance, xs, T=1):
             )
         if not np.isfinite(x).all():
             raise ValueError(f"trace entry {k} holds a non-finite value")
-        if saturated:
-            continue
-        if k > 0:
-            tracker = tracker.after_iteration(T)
-        span = np.array(tracker.s)
-        bound = rho ** (2 * span + 2) / tail - slack
-        floor = bound - 1e-12 * np.maximum(1.0, np.abs(bound))
-        if span.min() >= instance.d_trunc and floor.max() <= 0.0:
-            saturated = True
-            continue
+        checked = next(floors, None)
+        if checked is None:
+            continue  # saturated
+        span, bound, floor = checked
         support = _support_lengths(x)
         dist = np.sum((x - x_star) ** 2, axis=1)
         bad_a = support > span

@@ -584,18 +584,20 @@ def _errors(xs, reference, metric):
     return _row_dots(gaps).tolist()
 
 
-def _flush(records, trace, history, k0, T, lyapunov_args, reference):
+def _flush(records, trace, keep, history, k0, T, lyapunov_args, reference, taken):
     """Append the records of iterates ``k0``, ``k0 + 1``, ..., which sit raw
-    in ``history``, (count, 7, n, d), and one copy of their x rows to
-    ``trace`` unless it is None. Both errors and the copy come from the raw
-    rows; then, with ``lyapunov_args``, one :func:`lyapunov` pass takes the
-    potential, turning the slots into difference rows in place."""
+    in ``history``, (count, 7, n, d), and one copy of the x rows of those
+    below ``keep`` to ``trace``. ``taken`` maps a stop metric to the errors
+    the stop test already took of these iterates, which the records reuse;
+    the other error and the copy come from the raw rows. Then, with
+    ``lyapunov_args``, one :func:`lyapunov` pass takes the potential,
+    turning the slots into difference rows in place."""
     count = len(history)
     xs = history[:, 0]
-    stacked = _errors(xs, reference, "stacked")
-    mean_block = _errors(xs, reference, "mean_block")
-    if trace is not None:
-        trace.extend(xs.copy())
+    stacked = taken.get("stacked") or _errors(xs, reference, "stacked")
+    mean_block = taken.get("mean_block") or _errors(xs, reference, "mean_block")
+    if k0 < keep:
+        trace.extend(xs[: keep - k0].copy())
     if lyapunov_args:
         # One iterate goes as a (7, n, d) buffer: numpy loops over a leading
         # axis of length one more slowly than over none.
@@ -654,8 +656,11 @@ def run(
         consensus point (``"stacked"``).
     track_lyapunov : bool
         Record the potential decomposition at every iterate.
-    collect_trace : bool
-        Keep a copy of every x iterate (needed by the run certifier).
+    collect_trace : bool or int
+        ``True`` keeps a copy of every x iterate in ``RunResult.trace``; an
+        integer N >= 1 keeps the first N only, the prefix that
+        ``hardcase.checked_iterates`` gives the run certifier. ``True`` is
+        not N = 1.
 
     The run allocates its buffers once: a (10, n, d) workspace holding the
     state's rows and :func:`step`'s scratch rows, and a (K, 7, n, d)
@@ -664,11 +669,12 @@ def run(
     the run takes only the error its target test reads, none without a
     target. When the history is full, when the run stops and before a
     divergence is raised, its iterates become records and trace entries:
-    both errors, by the target test's formula, and one copy of the block
-    come from their raw x rows, then one :func:`lyapunov` call takes their
-    potential. With the potential tracked, K is ``BLOCK_BYTES // (7 n d 8)``
-    when that is at least ``BLOCK_MIN``, else 1; untracked, K is 1. The
-    records have the same bits at every K.
+    the records reuse the target test's errors; the other error, by the
+    same formula, and one copy of the x rows the trace keeps come from the
+    raw rows; then one :func:`lyapunov` call takes their potential. With
+    the potential tracked, K is ``BLOCK_BYTES // (7 n d 8)`` when that is
+    at least ``BLOCK_MIN``, else 1; untracked, K is 1. The records have the
+    same bits at every K.
 
     Returns
     -------
@@ -689,6 +695,8 @@ def run(
         blockvec._check_integer("budget", budget, 0)
     if stop_metric not in STOP_METRICS:
         raise ValueError(f"unknown stop metric {stop_metric!r}")
+    if not isinstance(collect_trace, bool):
+        blockvec._check_integer("collect_trace", collect_trace, 1)
     if params is None:
         params = derive_params(
             objectives.L, objectives.mu, effective_chi(mixing.chi, T)
@@ -707,16 +715,28 @@ def run(
     history = np.zeros((size, 7, n, d))  # slot 0 holds the zero start
     slots = list(history)
     records = []
-    trace = [] if collect_trace else None
-    # Iterates k0 .. k0 + count - 1 wait in the history's first slots.
+    # The x rows of the iterates below keep go to the trace; no run has
+    # more than limit + 1 iterates.
+    keep = limit + 1 if collect_trace is True else int(collect_trace)
+    trace = [] if keep else None
+    # Iterates k0 .. k0 + count - 1 wait in the history's first slots, and
+    # the errors the stop test took of them in errs.
     k0, count = 0, 0
+    errs = []
+    taken = {stop_metric: errs} if target_eps is not None else {}
     low, low_k = math.inf, 0
+
+    def flush():
+        block = history[:count]
+        _flush(records, trace, keep, block, k0, T, lyapunov_args, reference, taken)
+        errs.clear()
 
     while True:
         count += 1
         reason = None
         if target_eps is not None:
             err = _errors(state.x[None], reference, stop_metric)[0]
+            errs.append(err)
             if err <= target_eps:
                 reason = "converged"
             elif err < STALL_FACTOR * low:
@@ -726,7 +746,7 @@ def run(
         if reason is None and state.k >= limit:
             reason = "budget"
         if reason is not None or count == size:
-            _flush(records, trace, history[:count], k0, T, lyapunov_args, reference)
+            flush()
             k0, count = state.k + 1, 0
         if reason is not None:
             break
@@ -738,7 +758,7 @@ def run(
             _guard(state)
         except DivergenceError as err:
             if count:
-                _flush(records, trace, history[:count], k0, T, lyapunov_args, reference)
+                flush()
             err.last_record = records[-1]
             raise
 

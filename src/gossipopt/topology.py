@@ -316,12 +316,12 @@ def random_geometric_schedule(n, radius, pool_size, seed):
     ``m > 0`` of each component is joined to its predecessor by the edge
     ``(m - 1, m)``, the minimum number of edges that connects it. Component
     minima are found by labelling every node with the smallest index it can
-    reach, iterated to a fixed point on the threshold matrix. ``seed`` must
-    be >= 0. Each graph's edges are one read-only int64 (m, 2) array of
-    pairs i < j in sorted order, read straight off its adjacency matrix.
+    reach, iterated to a fixed point on the threshold matrix. ``pool_size``
+    must be an integer >= 1 and ``seed`` >= 0. Each graph's edges are one
+    read-only int64 (m, 2) array of pairs i < j in sorted order, read
+    straight off its adjacency matrix.
     """
-    if pool_size < 1:
-        raise ValueError(f"pool_size must be >= 1, got {pool_size}")
+    blockvec._check_integer("pool_size", pool_size, 1)
     pool = _random_geometric_pool(n, radius, seed, range(pool_size))
     return TopologySchedule(n=n, kind="random_geometric", pool=pool)
 

@@ -537,3 +537,117 @@ def test_certify_checks_shape_past_saturation():
     trace[11] = np.zeros((9, 5))
     with pytest.raises(ValueError, match=r"trace entry 11 has shape \(9, 5\)"):
         hardcase.certify_run(inst, trace, T=4)
+
+
+@pytest.mark.parametrize("n", [9.0, 9.5, True, "9", 6.0])
+def test_tracker_rejects_a_node_count_that_is_not_an_integer(n):
+    # unchecked, 9.0 built a tracker whose after_iteration raised TypeError
+    with pytest.raises(ValueError, match=re.escape(
+        f"need n an integer divisible by 3 and >= 3, got {n!r}"
+    )):
+        hardcase.SpanTracker.fresh(n)
+
+
+def _walk_to_saturation(instance, T):
+    """Iterates before saturation, one tracker iteration at a time, by the
+    rule ``_certify_reference`` checks every iterate with."""
+    rho = instance.rho
+    tail = 1.0 - rho**2
+    slack = 2.0 * rho ** (2 * instance.d_trunc) / tail
+    tracker = hardcase.SpanTracker.fresh(instance.n)
+    count = 0
+    while True:
+        span = np.array(tracker.s)
+        bound = rho ** (2 * span + 2) / tail - slack
+        floor = bound - 1e-12 * np.maximum(1.0, np.abs(bound))
+        if span.min() >= instance.d_trunc and floor.max() <= 0.0:
+            return count
+        count += 1
+        tracker = tracker.after_iteration(T)
+
+
+@pytest.mark.parametrize("chi", [3, 9, 30])
+@pytest.mark.parametrize("d_trunc", [4, 120])
+def test_checked_iterates_closed_form_equals_the_tracker_walk(chi, d_trunc):
+    inst = hardcase.build_hard_instance(float(chi), 16.0, 1.0, d_trunc)
+    g = inst.n // 3
+    for T in [*range(g + 1, 2 * inst.n + 2), 1000]:
+        assert hardcase.checked_iterates(inst, T) == d_trunc
+        assert _walk_to_saturation(inst, T) == d_trunc
+    # at T <= n/3 the count is the walk itself, and larger than d_trunc
+    for T in range(1, g + 1):
+        count = hardcase.checked_iterates(inst, T)
+        assert count == _walk_to_saturation(inst, T) > d_trunc
+
+
+@st.composite
+def _prefix_case(draw):
+    """A ``_certify_case`` trace, sometimes with a violation planted at one
+    of the last two iterates the certifier checks: node i holds all of x*,
+    which fails support while its span is below d_trunc."""
+    inst, xs, T, zero_tol = draw(_certify_case())
+    count = hardcase.checked_iterates(inst, T)
+    if draw(st.booleans()):
+        k = max(0, min(count, len(xs)) - draw(st.integers(1, 2)))
+        xs[k] = xs[k].copy()
+        xs[k][draw(st.integers(0, inst.n - 1))] = inst.solution()
+    return inst, xs, T, zero_tol, count
+
+
+@given(_prefix_case())
+@settings(max_examples=200)
+def test_certify_run_on_the_checked_prefix_equals_the_whole_trace(case):
+    inst, xs, T, zero_tol, count = case
+    with mock.patch.object(hardcase, "ZERO_TOL", zero_tol):
+        whole = hardcase.certify_run(inst, xs, T=T)
+        prefix = hardcase.certify_run(inst, xs[:count], T=T)
+    assert prefix.passed == whole.passed
+    assert prefix.first_violation == whole.first_violation
+    shown = min(count, len(xs))
+    assert prefix.support_ok == whole.support_ok[:shown]
+    assert prefix.distance_ok == whole.distance_ok[:shown]
+
+
+def _observe_certified_run(monkeypatch, T, budget):
+    """A certified run_experiment, with what it hands certify_run."""
+    certify_run = hardcase.certify_run
+    seen = []
+
+    def observed(instance, xs, T=1):
+        seen.append((instance, list(xs), T))
+        return certify_run(instance, xs, T=T)
+
+    monkeypatch.setattr(hardcase, "certify_run", observed)
+    config = experiments.ExperimentConfig(
+        problem={"kind": "hard_instance", "chi": 9.0, "L": 16.0, "mu": 1.0,
+                 "d_trunc": 12},
+        T=T, budget=budget, certify=True,
+    )
+    result = experiments.run_experiment(config)
+    monkeypatch.undo()
+    (instance, xs, T_used), = seen
+    return result, instance, xs, T_used
+
+
+def test_certified_run_hands_the_certifier_only_the_checked_prefix(monkeypatch):
+    # T = auto = 7 > n/3 = 3: at most d_trunc entries, from the zero start
+    result, inst, xs, T = _observe_certified_run(monkeypatch, "auto", 40)
+    assert T == 7 and len(result.records) == 41
+    assert len(xs) == inst.d_trunc == 12
+    assert not xs[0].any()
+    assert result.cert_report.passed and len(result.cert_report.support_ok) == 12
+    # at T = 1 every checked iterate, the same iterates a whole trace holds
+    result, inst, xs, T = _observe_certified_run(monkeypatch, 1, 80)
+    count = hardcase.checked_iterates(inst, 1)
+    assert 12 < count < 81 and len(xs) == count
+    mixing = topology.build_mixing(inst.schedule)
+    whole = solver.run(inst.objectives, mixing, T=1, budget=80,
+                       collect_trace=True).trace
+    assert len(whole) == 81
+    for got, want in zip(xs, whole):
+        assert np.array_equal(got, want)
+    full = hardcase.certify_run(inst, whole, T=1)
+    assert result.cert_report.passed and full.passed
+    # a run shorter than the prefix hands every iterate it has
+    _, _, xs, _ = _observe_certified_run(monkeypatch, "auto", 5)
+    assert len(xs) == 6

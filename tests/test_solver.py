@@ -806,7 +806,8 @@ _STEPWISE = dict(
     target=st.none() | st.floats(1e-4, 1.0),
     stop_metric=st.sampled_from(solver.STOP_METRICS),
     track=st.booleans(),
-    collect=st.booleans(),
+    # True keeps every iterate, an integer that many leading ones.
+    collect=st.sampled_from([False, True, 1, 2, 9, 17]),
     seed=st.integers(0, 2**16),
 )
 
@@ -867,6 +868,7 @@ def test_run_matches_the_stepwise_loop(kind, n, d, kappa, T, budget, block,
     assert result.state.k == state.k
     assert np.array_equal(result.state._buf, state._buf)
     if collect:
+        trace = trace if collect is True else trace[:collect]
         assert len(result.trace) == len(trace)
         for got, want in zip(result.trace, trace):
             assert np.array_equal(got, want)
@@ -950,3 +952,47 @@ def test_trace_holds_copies_of_x():
         assert x.shape == (3, 2)
         assert not np.shares_memory(x, result.state._buf)
     assert np.array_equal(result.trace[-1], result.state.x)
+
+
+def test_trace_prefix_keeps_leading_iterates_and_true_keeps_all():
+    # True == 1 in Python, yet True keeps every iterate and 1 only the first;
+    # a prefix the run outlives stops the trace, one it does not keeps all.
+    obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
+    mixing = topology.build_mixing(topology.ring_star_schedule(3))
+    whole = solver.run(obj, mixing, budget=20, collect_trace=True)
+    assert len(whole.trace) == 21
+    for keep, length in ((1, 1), (4, 4), (21, 21), (50, 21)):
+        result = solver.run(obj, mixing, budget=20, collect_trace=keep)
+        assert len(result.trace) == length
+        for got, want in zip(result.trace, whole.trace):
+            assert np.array_equal(got, want)
+        assert [_bits(r) for r in result.records] == [_bits(r) for r in whole.records]
+
+
+@pytest.mark.parametrize("keep", [0, -1, 2.5, 3.0, "3", None])
+def test_run_rejects_a_trace_prefix_that_is_not_an_integer_from_1(keep):
+    obj = objectives.gen_random_quadratic(3, 2, L=5.0, mu=1.0, seed=5)
+    mixing = topology.build_mixing(topology.ring_star_schedule(3))
+    with pytest.raises(ValueError, match=re.escape(
+        f"collect_trace must be an integer >= 1, got {keep!r}"
+    )):
+        solver.run(obj, mixing, budget=3, collect_trace=keep)
+
+
+@pytest.mark.parametrize("stop_metric", solver.STOP_METRICS)
+def test_stop_metric_is_taken_once_per_iterate(monkeypatch, stop_metric):
+    # The records reuse the stop test's error of each iterate; only the
+    # other metric is taken per block, one iterate a block at 30 x 80.
+    obj = objectives.gen_random_quadratic(30, 80, L=5.0, mu=1.0, seed=5)
+    mixing = topology.build_mixing(topology.ring_star_schedule(30))
+    calls = {metric: 0 for metric in solver.STOP_METRICS}
+
+    def counted(xs, reference, metric, _fn=solver._errors):
+        calls[metric] += len(xs)
+        return _fn(xs, reference, metric)
+
+    monkeypatch.setattr(solver, "_errors", counted)
+    result = solver.run(obj, mixing, budget=6, target_eps=1e-30,
+                        stop_metric=stop_metric)
+    assert len(result.records) == 7
+    assert calls == {metric: 7 for metric in solver.STOP_METRICS}

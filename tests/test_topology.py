@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -283,6 +284,15 @@ def test_laplacian_counts_duplicates_and_rejects_out_of_range_nodes():
 def test_invalid_schedules_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize("pool_size", [2.5, 3.0, True, "3", 0])
+def test_geometric_pool_size_must_be_an_integer_from_1(pool_size):
+    # unchecked, 2.5 raised TypeError from range()
+    with pytest.raises(ValueError, match=re.escape(
+        f"pool_size must be an integer >= 1, got {pool_size!r}"
+    )):
+        topology.random_geometric_schedule(5, 0.8, pool_size, 0)
 
 
 def test_make_schedule_dispatch():
